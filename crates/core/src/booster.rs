@@ -5,7 +5,9 @@ use std::fmt;
 use uadb_data::preprocess::minmax_vec;
 use uadb_data::splits::kfold;
 use uadb_linalg::Matrix;
-use uadb_nn::{train_regression, AdamParams, ForwardScratch, Mlp, MlpConfig, ProgressHook, TrainConfig};
+use uadb_nn::{
+    train_regression, AdamParams, ForwardScratch, Mlp, MlpConfig, ProgressHook, TrainConfig,
+};
 
 /// Scale on which the per-instance dispersion enters the pseudo-label
 /// update `ŷ(t+1) = MinMaxScale(ŷ(t) + v̂)`.

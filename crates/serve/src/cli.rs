@@ -5,7 +5,7 @@
 //! the binary is a thin shell over [`crate::model`], [`crate::persist`]
 //! and [`crate::http`].
 
-use crate::http::{IoMode, Server, ServerConfig};
+use crate::http::{Server, ServerConfig};
 use crate::json;
 use crate::model::ServedModel;
 use crate::persist;
@@ -36,7 +36,7 @@ USAGE:
   uadb-serve serve --model [NAME=]FILE[,TEACHER_FILE] [--model ...] [--default NAME]
                    [--addr HOST:PORT] [--workers N] [--shard-rows N]
                    [--max-conns N] [--max-requests N] [--idle-timeout-ms N]
-                   [--io threads|epoll] [--shards N]
+                   [--shards N]
                    [--log-level error|warn|info|debug]
                    [--log-json] [--slow-ms N] [--drift-warn-psi T]
   uadb-serve info  --model FILE
@@ -60,12 +60,10 @@ SUBCOMMANDS:
           teacher snapshot so POST /score/NAME?variant=teacher|booster|both
           serves the paper's comparison live. Bare POST /score routes to the
           default model (--default NAME overrides; otherwise the first
-          --model). --io picks the connection backend: `epoll` (Linux
-          default) drives every socket from N sharded event loops so
-          --max-conns can grow past thread counts; `threads` (non-Linux
-          default) is the portable one-thread-per-connection fallback.
-          --shards N runs N epoll reactor shards (default: min(cores,
-          scoring workers); ignored by --io threads). POST /score also
+          --model). Every socket is driven by N sharded epoll event
+          loops, so --max-conns can grow past thread counts; serving is
+          Linux-only. --shards N runs N reactor shards (default:
+          min(cores, scoring workers)). POST /score also
           accepts the binary row payload (Content-Type:
           application/x-uadb-rows; see README wire-protocol spec) and
           answers with raw little-endian scores. Endpoints:
@@ -341,6 +339,11 @@ fn parse_model_flag(value: &str) -> Result<(&str, &str, Option<&str>), CliError>
 }
 
 fn serve(flags: &Flags) -> Result<(), CliError> {
+    // Unknown flags are otherwise ignored; a leftover `--io` must not
+    // silently pass for a backend choice that no longer exists.
+    if flags.get("io").is_some() {
+        return Err(err("--io was removed: serving always uses the epoll reactor (Linux only)"));
+    }
     let model_flags = flags.get_all("model");
     if model_flags.is_empty() {
         return Err(err("missing required --model (repeatable; NAME=FILE or FILE)"));
@@ -371,15 +374,10 @@ fn serve(flags: &Flags) -> Result<(), CliError> {
         .map_err(|_| err(format!("--default {default_name} does not name a --model")))?;
 
     let defaults = ServerConfig::default();
-    let io = match flags.get("io") {
-        None => defaults.io,
-        Some(name) => IoMode::from_name(name)
-            .ok_or_else(|| err(format!("--io must be threads|epoll, got `{name}`")))?,
-    };
     // `--shards 0` (the default) auto-sizes to min(cores, scoring
     // workers): more reactor loops than cores just contend, and more
     // than scoring workers cannot be fed. Explicit values are taken
-    // as-is. The threaded backend ignores the knob.
+    // as-is.
     let shards = match flags.parse_num("shards", 0usize)? {
         0 => {
             let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
@@ -395,7 +393,6 @@ fn serve(flags: &Flags) -> Result<(), CliError> {
             flags.parse_num("idle-timeout-ms", defaults.idle_timeout.as_millis() as u64)?,
         ),
         io_timeout: defaults.io_timeout,
-        io,
         shards,
     };
     if server_cfg.max_connections == 0 || server_cfg.max_requests_per_conn == 0 {
@@ -422,7 +419,7 @@ fn serve(flags: &Flags) -> Result<(), CliError> {
     telemetry::metrics().set_slow_threshold_ms(slow_ms);
     let drift_warn = flags.parse_num("drift-warn-psi", f64::INFINITY)?;
     if drift_warn.is_finite() {
-        if !(drift_warn > 0.0) {
+        if drift_warn <= 0.0 {
             return Err(err("--drift-warn-psi must be positive (PSI alert bands start ~0.1)"));
         }
         telemetry::metrics().set_drift_warn_psi(drift_warn);
@@ -431,12 +428,8 @@ fn serve(flags: &Flags) -> Result<(), CliError> {
     let addr = flags.get("addr").unwrap_or("127.0.0.1:7878");
     let server = Server::bind(addr, Arc::clone(&registry), server_cfg)
         .map_err(|e| err(format!("binding {addr}: {e}")))?;
-    let backend_desc = match io {
-        IoMode::Epoll => format!("{} backend, {} shard(s)", io.name(), shards),
-        IoMode::Threads => format!("{} backend", io.name()),
-    };
     println!(
-        "serving {} model(s) [default: {default_name}] on http://{} ({backend_desc})",
+        "serving {} model(s) [default: {default_name}] on http://{} (epoll backend, {shards} shard(s))",
         registry.len(),
         server.local_addr().map_err(|e| err(e.to_string()))?,
     );
@@ -521,6 +514,9 @@ mod tests {
     fn serve_flag_validation() {
         let none = Flags::parse(&[]).unwrap();
         assert!(serve(&none).unwrap_err().0.contains("--model"));
+        let io: Vec<String> =
+            ["--model", "a=x.uadb", "--io", "threads"].iter().map(|s| s.to_string()).collect();
+        assert!(serve(&Flags::parse(&io).unwrap()).unwrap_err().0.contains("--io was removed"));
         let dup: Vec<String> =
             ["--model", "a=x.uadb", "--model", "a=y.uadb"].iter().map(|s| s.to_string()).collect();
         // Duplicate names fail before any file I/O only if the first

@@ -22,12 +22,12 @@
 //!    `train`/`score`/`serve`/`info` subcommands to the existing
 //!    teachers and datasets. Request parsing and response
 //!    serialization are **sans-io** functions over byte buffers,
-//!    driven by one of two interchangeable [`http::ConnectionDriver`]
-//!    backends: classic thread-per-connection
-//!    ([`http::IoMode::Threads`]), or the [`reactor`] — a
-//!    single-threaded **epoll** readiness loop (Linux default,
-//!    `serve --io epoll`) that owns every client socket, so the
-//!    connection budget scales past thread counts.
+//!    driven by one connection layer: N sharded edge-triggered
+//!    **epoll** reactor loops that own every client socket, so the
+//!    connection budget scales past thread counts. Serving is
+//!    Linux-only ([`http::Server::bind`] returns
+//!    `io::ErrorKind::Unsupported` elsewhere); persistence, pooled
+//!    scoring and the `train`/`score`/`info` subcommands run anywhere.
 //! 4. **Multi-model routing** — [`registry::ModelRegistry`] holds N
 //!    named models, each with its own pool, behind one port, with
 //!    atomic hot reload that never drops in-flight connections.
@@ -80,14 +80,11 @@ pub mod model;
 pub mod persist;
 pub mod pool;
 #[cfg(target_os = "linux")]
-pub mod reactor;
+mod reactor;
 pub mod registry;
 pub mod telemetry;
 
-pub use http::{
-    ConnectionDriver, DriverCtx, IoMode, Server, ServerConfig, ServerHandle, ServerStats,
-    StopSignal,
-};
+pub use http::{Server, ServerConfig, ServerHandle, ServerStats};
 pub use model::{ModelMeta, ScoreError, ScoreWorkspace, ServedModel, TeacherModel, Variant};
 pub use persist::{
     load, load_file, load_record, load_record_file, load_teacher, load_teacher_file, save,

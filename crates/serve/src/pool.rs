@@ -389,8 +389,14 @@ impl Drop for ScoringPool {
     fn drop(&mut self) {
         // Closing the queue ends every worker's recv loop.
         self.queue.take();
+        // The last handle can die inside a completion callback, i.e. on
+        // one of our own workers: that thread exits once the callback
+        // returns, and joining it from itself would deadlock.
+        let me = std::thread::current().id();
         for handle in self.workers.drain(..) {
-            let _ = handle.join();
+            if handle.thread().id() != me {
+                let _ = handle.join();
+            }
         }
     }
 }
@@ -600,6 +606,37 @@ mod tests {
             pool.score_shared_variant(&Arc::new(data.x.clone()), Variant::Teacher),
             Err(ScoreError::TeacherNotLoaded)
         );
+    }
+
+    #[test]
+    fn dropping_the_last_pool_handle_on_a_worker_does_not_self_join() {
+        // A completion callback can own the last `Arc<ScoringPool>`: a
+        // `variant=both` request captures the pool for its second
+        // submission while a hot reload swaps the registry entry. The
+        // pool's `Drop` then runs on one of its own workers and must not
+        // join that thread.
+        let model = Arc::new(tiny_model(26));
+        let data = fig5_dataset(AnomalyType::Local, 26);
+        let pool = Arc::new(ScoringPool::new(model, PoolConfig { workers: 2, shard_rows: 1024 }));
+        let last = Arc::clone(&pool);
+        let (go_tx, go_rx) = channel::<()>();
+        let (done_tx, done_rx) = channel();
+        pool.submit(
+            &Arc::new(data.x.clone()),
+            Variant::Booster,
+            Box::new(move |result, _| {
+                let _ = go_rx.recv();
+                drop(last);
+                let _ = done_tx.send((std::thread::current().name().map(str::to_string), result));
+            }),
+        );
+        drop(pool);
+        go_tx.send(()).unwrap();
+        let (worker, result) = done_rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("the worker dropping its own pool panicked or hung");
+        assert!(worker.as_deref().is_some_and(|n| n.starts_with("uadb-score-")), "{worker:?}");
+        assert_eq!(result.unwrap().len(), data.x.rows());
     }
 
     #[test]
