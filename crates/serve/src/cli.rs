@@ -348,6 +348,28 @@ fn serve(flags: &Flags) -> Result<(), CliError> {
     if model_flags.is_empty() {
         return Err(err("missing required --model (repeatable; NAME=FILE or FILE)"));
     }
+    // Telemetry plane knobs: stderr verbosity/format and the slow-request
+    // capture threshold. Set before any model loads, so registration
+    // logs already follow `--log-level`/`--log-json`.
+    if let Some(name) = flags.get("log-level") {
+        let level = Level::parse(name).ok_or_else(|| {
+            err(format!("--log-level must be error|warn|info|debug, got `{name}`"))
+        })?;
+        logger().set_level(level);
+    }
+    if flags.get("log-json").is_some() {
+        logger().set_json(true);
+    }
+    let slow_ms = flags.parse_num("slow-ms", 100u64)?;
+    telemetry::metrics().set_slow_threshold_ms(slow_ms);
+    let drift_warn = flags.parse_num("drift-warn-psi", f64::INFINITY)?;
+    if drift_warn.is_finite() {
+        if drift_warn <= 0.0 {
+            return Err(err("--drift-warn-psi must be positive (PSI alert bands start ~0.1)"));
+        }
+        telemetry::metrics().set_drift_warn_psi(drift_warn);
+    }
+
     let pool_cfg = PoolConfig {
         workers: flags.parse_num("workers", 0usize)?,
         shard_rows: flags.parse_num("shard-rows", PoolConfig::default().shard_rows)?,
@@ -402,27 +424,6 @@ fn serve(flags: &Flags) -> Result<(), CliError> {
         // A zero read timeout cannot be set on a socket; it would mean
         // "no timeout", the opposite of what the operator asked for.
         return Err(err("--idle-timeout-ms must be at least 1"));
-    }
-
-    // Telemetry plane knobs: stderr verbosity/format and the slow-request
-    // capture threshold.
-    if let Some(name) = flags.get("log-level") {
-        let level = Level::parse(name).ok_or_else(|| {
-            err(format!("--log-level must be error|warn|info|debug, got `{name}`"))
-        })?;
-        logger().set_level(level);
-    }
-    if flags.get("log-json").is_some() {
-        logger().set_json(true);
-    }
-    let slow_ms = flags.parse_num("slow-ms", 100u64)?;
-    telemetry::metrics().set_slow_threshold_ms(slow_ms);
-    let drift_warn = flags.parse_num("drift-warn-psi", f64::INFINITY)?;
-    if drift_warn.is_finite() {
-        if drift_warn <= 0.0 {
-            return Err(err("--drift-warn-psi must be positive (PSI alert bands start ~0.1)"));
-        }
-        telemetry::metrics().set_drift_warn_psi(drift_warn);
     }
 
     let addr = flags.get("addr").unwrap_or("127.0.0.1:7878");

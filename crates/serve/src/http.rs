@@ -73,7 +73,7 @@
 use crate::json::{self, Value};
 use crate::model::{ScoreError, ServedModel, Variant};
 use crate::pool::{PoolConfig, ScoringPool};
-use crate::registry::{ModelRegistry, RegistryError};
+use crate::registry::{Entry, ModelRegistry, RegistryError};
 use crate::telemetry::{
     metrics, DriftReport, ModelDrift, ModelStats, RejectReason, RequestTimer, Stage, VariantTag,
 };
@@ -864,7 +864,7 @@ pub(crate) enum WireFormat {
 
 /// A validated scoring request: the target pool, the parsed shared
 /// batch, which variant(s) to score, the response wire format, and the
-/// telemetry identity of the model being scored (per-request counters
+/// scored entry's stats slot and drift window (per-request counters
 /// were bumped at routing).
 pub(crate) struct ScoreTask {
     pool: Arc<ScoringPool>,
@@ -873,11 +873,11 @@ pub(crate) struct ScoreTask {
     format: WireFormat,
     stats: Arc<ModelStats>,
     tag: VariantTag,
-    /// The model's live drift window, resolved at routing so completion
+    /// The entry's live drift window, resolved at routing so completion
     /// callbacks feed the window of the model that actually scored —
-    /// a concurrent reload installs a fresh window for *new* requests
+    /// a concurrent reload publishes a fresh window for *new* requests
     /// while this one keeps pointing at the instance it started with.
-    drift: Option<Arc<ModelDrift>>,
+    drift: Arc<ModelDrift>,
 }
 
 impl ScoreTask {
@@ -897,9 +897,7 @@ impl ScoreTask {
         // Raw feature rows feed the drift window regardless of variant
         // or outcome: the question "what traffic is this model seeing"
         // is independent of which scores the caller asked for.
-        if let Some(d) = &drift {
-            d.record_rows(&batch);
-        }
+        drift.record_rows(&batch);
         match select {
             VariantSelect::Single(variant) => pool.submit(
                 &batch,
@@ -908,9 +906,7 @@ impl ScoreTask {
                     timer.add(Stage::QueueWait, timing.queue_ns);
                     timer.add(Stage::Score, timing.score_ns);
                     let response = match result {
-                        Ok(scores) => {
-                            single_ok_response(format, variant, &scores, drift.as_deref())
-                        }
+                        Ok(scores) => single_ok_response(format, variant, &scores, &drift),
                         Err(e) => {
                             metrics().record_score_error(&stats, tag, &e, timer.trace_id);
                             score_error(&e)
@@ -954,12 +950,7 @@ impl ScoreTask {
                                             done(score_error(&e), timer);
                                         }
                                         Ok(booster) => done(
-                                            both_response(
-                                                format,
-                                                &booster,
-                                                &teacher,
-                                                drift.as_deref(),
-                                            ),
+                                            both_response(format, &booster, &teacher, &drift),
                                             timer,
                                         ),
                                     }
@@ -977,15 +968,13 @@ fn single_ok_response(
     format: WireFormat,
     variant: Variant,
     scores: &[f64],
-    drift: Option<&ModelDrift>,
+    drift: &ModelDrift,
 ) -> Response {
     // Only booster scores feed the live drift sketch: the training
     // baseline was built from booster-calibrated scores, so teacher
     // scores would shift PSI without any actual model drift.
     if variant == Variant::Booster {
-        if let Some(d) = drift {
-            d.record_scores(scores);
-        }
+        drift.record_scores(scores);
     }
     match format {
         WireFormat::Json => Response::json(
@@ -1005,18 +994,15 @@ fn both_response(
     format: WireFormat,
     booster: &[f64],
     teacher: &[f64],
-    drift: Option<&ModelDrift>,
+    drift: &ModelDrift,
 ) -> Response {
     // Paired scores for the same rows are exactly the stream the
     // teacher–booster divergence gauges summarise — fed on both wire
-    // formats, into the process-global gauges and (when a window is
-    // installed) the per-model drift report.
-    let batch_stats = metrics().observe_divergence(booster, teacher);
-    if let Some(d) = drift {
-        d.record_scores(booster);
-        if let Some((mean_abs, max_abs, n)) = batch_stats {
-            d.observe_divergence(mean_abs, max_abs, n);
-        }
+    // formats, into the process-global gauges and the entry's drift
+    // report.
+    drift.record_scores(booster);
+    if let Some((mean_abs, max_abs, n)) = metrics().observe_divergence(booster, teacher) {
+        drift.observe_divergence(mean_abs, max_abs, n);
     }
     match format {
         WireFormat::Json => Response::json(
@@ -1047,16 +1033,18 @@ pub(crate) fn route(req: &Request, ctx: &RouteCtx) -> Routed {
     let segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
     let response = match (req.method.as_str(), segments.as_slice()) {
         ("GET", ["healthz"]) => healthz(ctx),
-        ("GET", ["metrics"]) => metrics_response(),
+        ("GET", ["metrics"]) => metrics_response(registry),
         ("GET", ["admin", "slow"]) => slow_response(),
-        ("GET", ["admin", "drift"]) => drift_response(None),
-        ("GET", ["admin", "drift", name]) => drift_response(Some(name)),
-        ("POST", ["admin", "drift", name, "reset"]) => drift_reset(name),
+        ("GET", ["admin", "drift"]) => drift_response(registry, None),
+        ("GET", ["admin", "drift", name]) => drift_response(registry, Some(name)),
+        ("POST", ["admin", "drift", name, "reset"]) => drift_reset(registry, name),
         ("GET", ["models"]) => list_models(registry),
-        ("GET", ["model"]) => match registry.default_pool() {
-            Some(pool) => {
-                Response::json(200, "OK", &model_info(pool.model(), Some(pool.n_workers())))
-            }
+        ("GET", ["model"]) => match registry.resolve(None) {
+            Some(entry) => Response::json(
+                200,
+                "OK",
+                &model_info(entry.pool.model(), Some(entry.pool.n_workers())),
+            ),
             None => Response::error(404, "Not Found", "no default model registered"),
         },
         ("GET", ["model", name]) => match registry.get(name) {
@@ -1065,19 +1053,12 @@ pub(crate) fn route(req: &Request, ctx: &RouteCtx) -> Routed {
             }
             None => unknown_model(name),
         },
-        ("POST", ["score"]) => match registry.default_pool() {
-            Some(pool) => {
-                let name = registry.default_name().unwrap_or_else(|| "default".to_string());
-                registry.count_request(&name);
-                return score_routed(req, pool, query, &name);
-            }
+        ("POST", ["score"]) => match registry.resolve(None) {
+            Some(entry) => return score_routed(req, &entry, query),
             None => Response::error(404, "Not Found", "no default model registered"),
         },
-        ("POST", ["score", name]) => match registry.get(name) {
-            Some(pool) => {
-                registry.count_request(name);
-                return score_routed(req, pool, query, name);
-            }
+        ("POST", ["score", name]) => match registry.resolve(Some(name)) {
+            Some(entry) => return score_routed(req, &entry, query),
             None => unknown_model(name),
         },
         ("POST", ["admin", "reload", name]) => reload_model(req, registry, name),
@@ -1094,9 +1075,9 @@ pub(crate) fn route(req: &Request, ctx: &RouteCtx) -> Routed {
 fn healthz(ctx: &RouteCtx) -> Response {
     let requests: BTreeMap<String, Value> = ctx
         .registry
-        .request_counts()
-        .into_iter()
-        .map(|(name, n)| (name, Value::Number(n as f64)))
+        .entries()
+        .iter()
+        .map(|e| (e.stats.name.to_string(), Value::Number(e.stats.routed.get() as f64)))
         .collect();
     let m = metrics();
     let lat = m.latency_snapshot();
@@ -1125,12 +1106,14 @@ fn healthz(ctx: &RouteCtx) -> Response {
 }
 
 /// `GET /metrics` — the whole telemetry plane in Prometheus text
-/// exposition format 0.0.4. Drift gauges are derived values, so they
-/// are recomputed from the live sketches on every scrape rather than
-/// on every scored batch.
-fn metrics_response() -> Response {
-    metrics().refresh_drift_gauges();
-    Response::text(200, "OK", "text/plain; version=0.0.4", metrics().render())
+/// exposition format 0.0.4: the process-wide families, then this
+/// registry's per-model families. Drift gauges are derived values, so
+/// they are recomputed from the live sketches on every scrape rather
+/// than on every scored batch.
+fn metrics_response(registry: &ModelRegistry) -> Response {
+    let mut body = metrics().render();
+    registry.render_into(&mut body);
+    Response::text(200, "OK", "text/plain; version=0.0.4", body)
 }
 
 /// One drift report as its `/admin/drift` JSON document.
@@ -1186,15 +1169,15 @@ fn drift_report_json(r: &DriftReport) -> Value {
 /// `GET /admin/drift` (all models) and `GET /admin/drift/{name}` — the
 /// model-quality view: live-vs-training score distribution (PSI,
 /// quantiles, anomaly rates) and per-feature standardized mean shifts.
-fn drift_response(name: Option<&str>) -> Response {
-    let reports = metrics().drift_reports();
+fn drift_response(registry: &ModelRegistry, name: Option<&str>) -> Response {
     match name {
-        Some(name) => match reports.iter().find(|r| r.name.as_ref() == name) {
-            Some(r) => Response::json(200, "OK", &drift_report_json(r)),
+        Some(name) => match registry.resolve(Some(name)) {
+            Some(entry) => Response::json(200, "OK", &drift_report_json(&entry.drift.report())),
             None => unknown_model(name),
         },
         None => {
-            let models: Vec<Value> = reports.iter().map(drift_report_json).collect();
+            let models: Vec<Value> =
+                registry.entries().iter().map(|e| drift_report_json(&e.drift.report())).collect();
             Response::json(200, "OK", &json::object([("models", Value::Array(models))]))
         }
     }
@@ -1202,11 +1185,12 @@ fn drift_response(name: Option<&str>) -> Response {
 
 /// `POST /admin/drift/{name}/reset` — start a fresh live window for
 /// `name` (the training baseline is kept; only streaming state clears).
-fn drift_reset(name: &str) -> Response {
-    if metrics().reset_drift(name) {
-        Response::json(200, "OK", &json::object([("reset", Value::String(name.to_string()))]))
-    } else {
-        unknown_model(name)
+fn drift_reset(registry: &ModelRegistry, name: &str) -> Response {
+    match registry.clear_drift(name) {
+        Ok(()) => {
+            Response::json(200, "OK", &json::object([("reset", Value::String(name.to_string()))]))
+        }
+        Err(_) => unknown_model(name),
     }
 }
 
@@ -1247,19 +1231,18 @@ fn unknown_model(name: &str) -> Response {
 
 fn list_models(registry: &Arc<ModelRegistry>) -> Response {
     let models: Vec<Value> = registry
-        .names()
-        .into_iter()
-        .filter_map(|name| {
-            // An entry can be removed between names() and get(); skip it.
-            let pool = registry.get(&name)?;
-            let meta = pool.model().meta();
-            Some(json::object([
-                ("name", Value::String(name)),
+        .entries()
+        .iter()
+        .map(|e| {
+            let model = e.pool.model();
+            let meta = model.meta();
+            json::object([
+                ("name", Value::String(e.stats.name.to_string())),
                 ("dataset", Value::String(meta.dataset.clone())),
                 ("teacher", Value::String(meta.teacher.clone())),
-                ("input_dim", Value::Number(pool.model().input_dim() as f64)),
+                ("input_dim", Value::Number(model.input_dim() as f64)),
                 ("n_train", Value::Number(meta.n_train as f64)),
-            ]))
+            ])
         })
         .collect();
     Response::json(
@@ -1505,9 +1488,11 @@ fn score_error(e: &ScoreError) -> Response {
 /// [`ScoreTask`], or short-circuits with the error response. The
 /// request's `Content-Type` selects between the default JSON body and
 /// the binary rows payload ([`wire`]); the response mirrors the
-/// request's format. `name` keys the per-model × per-variant telemetry
-/// counters.
-fn score_routed(req: &Request, pool: Arc<ScoringPool>, query: Option<&str>, name: &str) -> Routed {
+/// request's format. The request counts against `entry`'s stats slot:
+/// the `/healthz` routed count before validation, the per-variant
+/// counters after it.
+fn score_routed(req: &Request, entry: &Entry, query: Option<&str>) -> Routed {
+    entry.stats.routed.inc();
     let select = match parse_variant(query) {
         Ok(s) => s,
         Err(msg) => return Routed::Ready(Response::error(400, "Bad Request", &msg)),
@@ -1548,14 +1533,20 @@ fn score_routed(req: &Request, pool: Arc<ScoringPool>, query: Option<&str>, name
         VariantSelect::Single(v) => VariantTag::from_variant(v),
         VariantSelect::Both => VariantTag::Both,
     };
-    let stats = metrics().model_stats(name);
-    let counters = stats.variant(tag);
+    let counters = entry.stats.variant(tag);
     counters.requests.inc();
     counters.rows.add(matrix.rows() as u64);
-    let drift = metrics().drift(name);
     // Hand the parsed batch to the pool as-is: shards borrow row ranges
     // from this one shared allocation instead of copying.
-    Routed::Score(ScoreTask { pool, batch: Arc::new(matrix), select, format, stats, tag, drift })
+    Routed::Score(ScoreTask {
+        pool: Arc::clone(&entry.pool),
+        batch: Arc::new(matrix),
+        select,
+        format,
+        stats: Arc::clone(&entry.stats),
+        tag,
+        drift: Arc::clone(&entry.drift),
+    })
 }
 
 pub(crate) fn rows_to_matrix(rows: &[Value]) -> Result<Matrix, String> {

@@ -16,8 +16,8 @@
 //!    connection budget, pipelined-burst batched writes), routing `POST
 //!    /score[/{name}]`, `GET /model[/{name}]`, `GET /models`, `POST
 //!    /admin/reload/{name}`, `POST`/`DELETE /admin/teacher/{name}`,
-//!    `GET /healthz`, `GET /metrics` (Prometheus text exposition from
-//!    the process-global [`telemetry`] plane) and `GET /admin/slow`
+//!    `GET /healthz`, `GET /metrics` (Prometheus text exposition of
+//!    the [`telemetry`] plane) and `GET /admin/slow`
 //!    (the last captured slow requests); the `uadb-serve` binary wires
 //!    `train`/`score`/`serve`/`info` subcommands to the existing
 //!    teachers and datasets. Request parsing and response
@@ -29,8 +29,9 @@
 //!    `io::ErrorKind::Unsupported` elsewhere); persistence, pooled
 //!    scoring and the `train`/`score`/`info` subcommands run anywhere.
 //! 4. **Multi-model routing** — [`registry::ModelRegistry`] holds N
-//!    named models, each with its own pool, behind one port, with
-//!    atomic hot reload that never drops in-flight connections.
+//!    named models, each with its own pool, counters and drift window,
+//!    behind one port, with atomic hot reload that never drops
+//!    in-flight connections.
 //! 5. **Teacher/booster A/B** — a served name can carry the *frozen
 //!    fitted teacher* next to its distilled booster:
 //!    [`model::TeacherModel`] wraps a detector snapshot (see

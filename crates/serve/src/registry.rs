@@ -3,32 +3,40 @@
 //! ADBench's core finding — and UADB's premise — is that no single
 //! detector wins everywhere, so a production deployment holds one
 //! trained booster per dataset/teacher pair. [`ModelRegistry`] maps
-//! URL-safe names to [`ServedModel`]s, each with its own
-//! [`ScoringPool`], and supports **hot reload**: swapping a registry
-//! entry for a freshly loaded model file atomically, without dropping
-//! in-flight requests (they hold an `Arc` to the pool they started on
-//! and finish against the old weights; the old pool is torn down when
-//! its last request completes).
+//! URL-safe names to entries that own all per-model state: the
+//! [`ServedModel`] behind its own [`ScoringPool`], a live drift window
+//! ([`ModelDrift`]), and the name's stats slot ([`ModelStats`]), whose
+//! series register on the registry's own exposition — two registries
+//! serving one name never share counts or windows.
 //!
-//! Lock discipline: the registry's `RwLock` is held only to clone or
-//! swap an `Arc` — never across model loading, pool construction or
-//! scoring — so a reload cannot stall concurrent requests.
+//! Every mutation — insert, **hot reload**, teacher attach/detach,
+//! drift reset — swaps in a new `Arc<Entry>` under the one lock, so a
+//! swap always starts a fresh drift window; the stats slot, created on
+//! a name's first insert, is carried over. In-flight requests hold the
+//! pool and window they started on and finish against the old weights.
+//!
+//! Lock discipline: the lock is held only to clone or swap an `Arc`
+//! (and to register a new name's series) — never across model loading,
+//! pool construction or scoring — so a reload cannot stall requests.
 
 use crate::model::ServedModel;
 use crate::persist::{self, PersistError};
 use crate::pool::{PoolConfig, ScoringPool};
+use crate::telemetry::{ModelDrift, ModelStats};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
-use uadb_telemetry::{log::logger, Level};
+use uadb_telemetry::{log::logger, Level, Registry};
 
 /// Longest accepted model name; names route in URLs, so they stay short.
 pub const MAX_NAME_LEN: usize = 64;
 
-struct Entry {
-    pool: Arc<ScoringPool>,
+/// One served name: the model's pool and provenance plus the per-model
+/// state it owns. Immutable once published; mutations swap the `Arc`.
+#[derive(Clone)]
+pub(crate) struct Entry {
+    pub(crate) pool: Arc<ScoringPool>,
     /// Where the model was loaded from, when it came from a file;
     /// reload without an explicit path re-reads this.
     source: Option<PathBuf>,
@@ -36,16 +44,25 @@ struct Entry {
     /// serves one; reload re-reads this alongside `source`.
     teacher_source: Option<PathBuf>,
     pool_cfg: PoolConfig,
+    /// The live drift window of exactly this entry's weights.
+    pub(crate) drift: Arc<ModelDrift>,
+    /// The name's stats slot, shared by every entry the name has had.
+    pub(crate) stats: Arc<ModelStats>,
 }
 
-/// A concurrent name → scoring-pool map with a designated default.
+/// Everything behind the registry's one lock.
+#[derive(Default)]
+struct State {
+    entries: BTreeMap<String, Arc<Entry>>,
+    default: Option<String>,
+}
+
+/// A concurrent name → entry map with a designated default.
+#[derive(Default)]
 pub struct ModelRegistry {
-    entries: RwLock<BTreeMap<String, Entry>>,
-    default_name: RwLock<Option<String>>,
-    /// Per-model score-request counters, kept *outside* the entries so
-    /// a hot reload or teacher attach/detach (which swaps the entry)
-    /// never resets a model's count.
-    counters: RwLock<BTreeMap<String, Arc<AtomicU64>>>,
+    state: RwLock<State>,
+    /// The per-model metric families of this registry's entries.
+    telemetry: Registry,
 }
 
 /// Errors from registry operations.
@@ -61,9 +78,9 @@ pub enum RegistryError {
     /// Teacher detach was requested for a model that has no teacher
     /// snapshot attached.
     NoTeacher(String),
-    /// The entry was replaced (reload, re-insert) while a teacher
-    /// attach/detach was preparing its swap; the operation was
-    /// abandoned rather than re-publishing stale weights. Retry.
+    /// The entry was replaced (reload, re-insert, drift reset) while a
+    /// teacher attach/detach was preparing its swap; the operation was
+    /// abandoned rather than re-publishing stale state. Retry.
     ConcurrentSwap(String),
     /// Loading the model file failed.
     Load(PersistError),
@@ -159,16 +176,6 @@ fn attach_validated(model: &mut ServedModel, teacher_path: &Path) -> Result<(), 
     model.attach_teacher(Arc::new(t)).map_err(|_| RegistryError::TeacherMismatch { expected, got })
 }
 
-/// Starts a fresh drift window for `name` from the model about to serve
-/// under it. Every entry mutation — insert, hot reload, teacher
-/// attach/detach — funnels through this, so streaming drift sketches
-/// never survive a model swap: the live window always describes traffic
-/// scored by the *current* weights against *their* training baseline.
-fn install_drift(name: &str, model: &ServedModel) {
-    let s = model.standardizer();
-    crate::telemetry::metrics().install_drift(name, s.means(), s.stds(), model.baseline());
-}
-
 /// Whether `name` can route in a URL path segment: non-empty, at most
 /// [`MAX_NAME_LEN`] bytes, only ASCII alphanumerics and `.`/`_`/`-`.
 pub fn is_valid_name(name: &str) -> bool {
@@ -177,31 +184,21 @@ pub fn is_valid_name(name: &str) -> bool {
         && name.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'.' || b == b'_' || b == b'-')
 }
 
-impl Default for ModelRegistry {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl ModelRegistry {
     /// An empty registry. The first inserted model becomes the default
     /// unless [`ModelRegistry::set_default`] chooses otherwise.
     pub fn new() -> Self {
-        Self {
-            entries: RwLock::new(BTreeMap::new()),
-            default_name: RwLock::new(None),
-            counters: RwLock::new(BTreeMap::new()),
-        }
+        Self::default()
     }
 
-    fn read_entries(&self) -> RwLockReadGuard<'_, BTreeMap<String, Entry>> {
+    fn read(&self) -> RwLockReadGuard<'_, State> {
         // Lock poisoning would mean a panic while *swapping an Arc*,
         // which cannot leave the map inconsistent; serving on is safe.
-        self.entries.read().unwrap_or_else(|e| e.into_inner())
+        self.state.read().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn write_entries(&self) -> RwLockWriteGuard<'_, BTreeMap<String, Entry>> {
-        self.entries.write().unwrap_or_else(|e| e.into_inner())
+    fn write(&self) -> RwLockWriteGuard<'_, State> {
+        self.state.write().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Registers (or replaces) a model under `name`, spinning up its
@@ -256,7 +253,6 @@ impl ModelRegistry {
         if !is_valid_name(name) {
             return Err(RegistryError::InvalidName(name.to_string()));
         }
-        // Pool construction (thread spawning) happens outside the lock.
         let teacher = if model.teacher().is_some() { "yes" } else { "no" };
         logger().log(
             Level::Info,
@@ -264,20 +260,7 @@ impl ModelRegistry {
             "model registered",
             &[("model", name), ("teacher", teacher)],
         );
-        install_drift(name, &model);
-        let pool = Arc::new(ScoringPool::new(model, pool_cfg.clone()));
-        self.write_entries()
-            .insert(name.to_string(), Entry { pool, source, teacher_source, pool_cfg });
-        self.counters
-            .write()
-            .unwrap_or_else(|e| e.into_inner())
-            .entry(name.to_string())
-            .or_default();
-        let mut default = self.default_name.write().unwrap_or_else(|e| e.into_inner());
-        if default.is_none() {
-            *default = Some(name.to_string());
-        }
-        Ok(())
+        self.publish(name, None, model, source, teacher_source, pool_cfg)
     }
 
     /// Attaches (or replaces) a frozen teacher snapshot on a live
@@ -292,19 +275,16 @@ impl ModelRegistry {
     /// [`RegistryError::ConcurrentSwap`] instead of silently
     /// re-publishing the pre-reload weights.
     pub fn attach_teacher(&self, name: &str, path: &Path) -> Result<(), RegistryError> {
-        let (seen_pool, pool_cfg, source) = self.entry_snapshot(name)?;
+        let seen = self.entry(name)?;
         // Clone the bundle outside every lock: the original keeps
         // serving until the swap below.
-        let mut new_model = (*Arc::clone(seen_pool.model())).clone();
+        let mut new_model = (**seen.pool.model()).clone();
         attach_validated(&mut new_model, path)?;
-        self.swap_entry(
-            name,
-            &seen_pool,
-            Arc::new(new_model),
-            source,
-            Some(path.to_path_buf()),
-            pool_cfg,
-        )
+        let (source, pool_cfg) = (seen.source.clone(), seen.pool_cfg.clone());
+        let teacher = Some(path.to_path_buf());
+        self.publish(name, Some(&seen), Arc::new(new_model), source, teacher, pool_cfg)?;
+        logger().log(Level::Info, "registry", "teacher attached", &[("model", name)]);
+        Ok(())
     }
 
     /// Detaches the teacher snapshot from a live entry; afterwards
@@ -313,80 +293,16 @@ impl ModelRegistry {
     /// Conditional on the entry not having been replaced concurrently,
     /// like [`ModelRegistry::attach_teacher`].
     pub fn detach_teacher(&self, name: &str) -> Result<(), RegistryError> {
-        let (seen_pool, pool_cfg, source) = self.entry_snapshot(name)?;
-        if seen_pool.model().teacher().is_none() {
+        let seen = self.entry(name)?;
+        if seen.pool.model().teacher().is_none() {
             return Err(RegistryError::NoTeacher(name.to_string()));
         }
-        let mut new_model = (*Arc::clone(seen_pool.model())).clone();
+        let mut new_model = (**seen.pool.model()).clone();
         new_model.detach_teacher();
-        self.swap_entry(name, &seen_pool, Arc::new(new_model), source, None, pool_cfg)
-    }
-
-    /// `(pool, pool config, source path)` of a live entry; the pool
-    /// `Arc` doubles as the identity witness for the conditional swap.
-    fn entry_snapshot(
-        &self,
-        name: &str,
-    ) -> Result<(Arc<ScoringPool>, PoolConfig, Option<PathBuf>), RegistryError> {
-        let entries = self.read_entries();
-        let entry =
-            entries.get(name).ok_or_else(|| RegistryError::UnknownModel(name.to_string()))?;
-        Ok((Arc::clone(&entry.pool), entry.pool_cfg.clone(), entry.source.clone()))
-    }
-
-    /// Builds a pool for `model` outside the lock, then swaps it in —
-    /// but only if the entry still holds `seen_pool`. The swapped
-    /// bundle was derived from that pool's model, so if anything
-    /// replaced the entry in the meantime (reload, re-insert), applying
-    /// the swap would resurrect stale weights; abort instead.
-    fn swap_entry(
-        &self,
-        name: &str,
-        seen_pool: &Arc<ScoringPool>,
-        model: Arc<ServedModel>,
-        source: Option<PathBuf>,
-        teacher_source: Option<PathBuf>,
-        pool_cfg: PoolConfig,
-    ) -> Result<(), RegistryError> {
-        let drift_model = Arc::clone(&model);
-        let pool = Arc::new(ScoringPool::new(model, pool_cfg.clone()));
-        let attached = teacher_source.is_some();
-        let mut entries = self.write_entries();
-        match entries.get_mut(name) {
-            Some(entry) if Arc::ptr_eq(&entry.pool, seen_pool) => {
-                *entry = Entry { pool, source, teacher_source, pool_cfg };
-                drop(entries);
-                // Only after the swap actually lands: an aborted swap
-                // must not reset the serving model's drift window.
-                install_drift(name, &drift_model);
-                let action = if attached { "teacher attached" } else { "teacher detached" };
-                logger().log(Level::Info, "registry", action, &[("model", name)]);
-                Ok(())
-            }
-            _ => Err(RegistryError::ConcurrentSwap(name.to_string())),
-        }
-    }
-
-    /// Bumps the score-request counter for `name` (the HTTP router
-    /// calls this per scoring request).
-    pub fn count_request(&self, name: &str) {
-        // Names are counted even before/after their entry exists only
-        // if a counter was created by insert; unknown names are a 404
-        // upstream and never reach here.
-        if let Some(counter) = self.counters.read().unwrap_or_else(|e| e.into_inner()).get(name) {
-            counter.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Per-model score-request counts since startup (survives hot
-    /// reloads and teacher attach/detach), sorted by name.
-    pub fn request_counts(&self) -> Vec<(String, u64)> {
-        self.counters
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .map(|(name, counter)| (name.clone(), counter.load(Ordering::Relaxed)))
-            .collect()
+        let (source, pool_cfg) = (seen.source.clone(), seen.pool_cfg.clone());
+        self.publish(name, Some(&seen), Arc::new(new_model), source, None, pool_cfg)?;
+        logger().log(Level::Info, "registry", "teacher detached", &[("model", name)]);
+        Ok(())
     }
 
     /// Atomically replaces `name`'s model with one freshly loaded from
@@ -396,98 +312,154 @@ impl ModelRegistry {
     /// model finish undisturbed and a failed load leaves the entry
     /// untouched.
     pub fn reload(&self, name: &str, path: Option<&Path>) -> Result<(), RegistryError> {
-        let (resolved, teacher_source, pool_cfg) = {
-            let entries = self.read_entries();
-            let entry =
-                entries.get(name).ok_or_else(|| RegistryError::UnknownModel(name.to_string()))?;
-            let resolved = match path {
-                Some(p) => p.to_path_buf(),
-                None => entry
-                    .source
-                    .clone()
-                    .ok_or_else(|| RegistryError::NoSourcePath(name.to_string()))?,
-            };
-            (resolved, entry.teacher_source.clone(), entry.pool_cfg.clone())
+        let current = self.entry(name)?;
+        let resolved = match path {
+            Some(p) => p.to_path_buf(),
+            None => current
+                .source
+                .clone()
+                .ok_or_else(|| RegistryError::NoSourcePath(name.to_string()))?,
         };
         // Load and spin up the replacement outside any lock; a teacher
         // snapshot, when the entry serves one, is re-read alongside.
+        let teacher_source = current.teacher_source.clone();
         let model = Arc::new(load_pair(&resolved, teacher_source.as_deref())?);
-        let drift_model = Arc::clone(&model);
-        let pool = Arc::new(ScoringPool::new(model, pool_cfg.clone()));
-        let mut entries = self.write_entries();
-        match entries.get_mut(name) {
-            // The entry may have been replaced concurrently; last write
-            // wins, exactly as two concurrent reloads would.
-            Some(entry) => {
-                entry.pool = pool;
-                entry.source = Some(resolved);
-                entry.teacher_source = teacher_source;
-                entry.pool_cfg = pool_cfg;
-            }
-            None => {
-                entries.insert(
-                    name.to_string(),
-                    Entry { pool, source: Some(resolved), teacher_source, pool_cfg },
-                );
-            }
-        }
-        drop(entries);
-        install_drift(name, &drift_model);
+        // The entry may have been replaced concurrently; last write
+        // wins, exactly as two concurrent reloads would.
+        let pool_cfg = current.pool_cfg.clone();
+        self.publish(name, None, model, Some(resolved), teacher_source, pool_cfg)?;
         logger().log(Level::Info, "registry", "model reloaded", &[("model", name)]);
+        Ok(())
+    }
+
+    /// The live entry under `name`; its `Arc` doubles as the identity
+    /// witness for a conditional swap.
+    fn entry(&self, name: &str) -> Result<Arc<Entry>, RegistryError> {
+        self.read()
+            .entries
+            .get(name)
+            .cloned()
+            .ok_or_else(|| RegistryError::UnknownModel(name.to_string()))
+    }
+
+    /// Builds `model`'s pool and a fresh drift window outside the lock,
+    /// then swaps the new entry in under `name`, carrying over the
+    /// name's stats slot (or registering one on the name's first
+    /// insert). With `seen` the swap is conditional: the new bundle was
+    /// derived from `seen`'s model, so if anything replaced that entry
+    /// in the meantime (reload, re-insert), applying the swap would
+    /// resurrect stale weights — abort with
+    /// [`RegistryError::ConcurrentSwap`] and leave the live entry as is.
+    fn publish(
+        &self,
+        name: &str,
+        seen: Option<&Arc<Entry>>,
+        model: Arc<ServedModel>,
+        source: Option<PathBuf>,
+        teacher_source: Option<PathBuf>,
+        pool_cfg: PoolConfig,
+    ) -> Result<(), RegistryError> {
+        let s = model.standardizer();
+        let drift = Arc::new(ModelDrift::new(name, s.means(), s.stds(), model.baseline()));
+        let pool = Arc::new(ScoringPool::new(model, pool_cfg.clone()));
+        let mut state = self.write();
+        let current = state.entries.get(name);
+        if seen.is_some_and(|seen| !current.is_some_and(|c| Arc::ptr_eq(c, seen))) {
+            return Err(RegistryError::ConcurrentSwap(name.to_string()));
+        }
+        let stats = match current {
+            Some(c) => Arc::clone(&c.stats),
+            None => Arc::new(ModelStats::register(&self.telemetry, name)),
+        };
+        let entry = Entry { pool, source, teacher_source, pool_cfg, drift, stats };
+        state.entries.insert(name.to_string(), Arc::new(entry));
+        state.default.get_or_insert_with(|| name.to_string());
+        Ok(())
+    }
+
+    /// Starts a fresh drift window for `name` (same baseline, empty
+    /// sketches) — the `/admin/drift/{name}/reset` operation.
+    pub fn clear_drift(&self, name: &str) -> Result<(), RegistryError> {
+        let mut state = self.write();
+        let entry = state
+            .entries
+            .get_mut(name)
+            .ok_or_else(|| RegistryError::UnknownModel(name.to_string()))?;
+        *entry = Arc::new(Entry { drift: Arc::new(entry.drift.fresh()), ..(**entry).clone() });
         Ok(())
     }
 
     /// Marks an existing model as the one bare `/score` routes to.
     pub fn set_default(&self, name: &str) -> Result<(), RegistryError> {
-        if !self.read_entries().contains_key(name) {
+        let mut state = self.write();
+        if !state.entries.contains_key(name) {
             return Err(RegistryError::UnknownModel(name.to_string()));
         }
-        *self.default_name.write().unwrap_or_else(|e| e.into_inner()) = Some(name.to_string());
+        state.default = Some(name.to_string());
         Ok(())
     }
 
     /// Name of the default model, if any model is registered.
     pub fn default_name(&self) -> Option<String> {
-        self.default_name.read().unwrap_or_else(|e| e.into_inner()).clone()
+        self.read().default.clone()
     }
 
     /// The scoring pool registered under `name`. The returned `Arc` pins
     /// the pool (and its model) for the caller's lifetime even if the
     /// entry is hot-swapped mid-request.
     pub fn get(&self, name: &str) -> Option<Arc<ScoringPool>> {
-        self.read_entries().get(name).map(|e| Arc::clone(&e.pool))
+        self.read().entries.get(name).map(|e| Arc::clone(&e.pool))
     }
 
-    /// The default model's scoring pool.
-    pub fn default_pool(&self) -> Option<Arc<ScoringPool>> {
-        let name = self.default_name()?;
-        self.get(&name)
+    /// The entry `name` routes to — the default entry when `name` is
+    /// `None` — under a single lock acquisition: the scoring route's
+    /// only registry lock per request.
+    pub(crate) fn resolve(&self, name: Option<&str>) -> Option<Arc<Entry>> {
+        let state = self.read();
+        let name = name.or(state.default.as_deref())?;
+        state.entries.get(name).cloned()
+    }
+
+    /// Every live entry, sorted by name (a snapshot: the lock is
+    /// released before the caller walks it).
+    pub(crate) fn entries(&self) -> Vec<Arc<Entry>> {
+        self.read().entries.values().cloned().collect()
+    }
+
+    /// Refreshes every entry's drift gauges from its live window, then
+    /// renders this registry's per-model families — the part of
+    /// `GET /metrics` after the process-wide families.
+    pub fn render_into(&self, out: &mut String) {
+        for entry in self.entries() {
+            entry.stats.refresh_drift(&entry.drift.report());
+        }
+        self.telemetry.render_into(out);
     }
 
     /// Registered names, sorted.
     pub fn names(&self) -> Vec<String> {
-        self.read_entries().keys().cloned().collect()
+        self.read().entries.keys().cloned().collect()
     }
 
     /// The source file `name` was loaded from, if it came from disk.
     pub fn source(&self, name: &str) -> Option<PathBuf> {
-        self.read_entries().get(name).and_then(|e| e.source.clone())
+        self.read().entries.get(name).and_then(|e| e.source.clone())
     }
 
     /// The teacher-snapshot file `name`'s teacher was loaded from, if
     /// the entry serves one.
     pub fn teacher_source(&self, name: &str) -> Option<PathBuf> {
-        self.read_entries().get(name).and_then(|e| e.teacher_source.clone())
+        self.read().entries.get(name).and_then(|e| e.teacher_source.clone())
     }
 
     /// Number of registered models.
     pub fn len(&self) -> usize {
-        self.read_entries().len()
+        self.read().entries.len()
     }
 
     /// Whether no models are registered.
     pub fn is_empty(&self) -> bool {
-        self.read_entries().is_empty()
+        self.read().entries.is_empty()
     }
 }
 
@@ -495,6 +467,38 @@ impl ModelRegistry {
 mod tests {
     use super::*;
     use crate::model::tests::tiny_model;
+    use crate::model::ModelBaseline;
+    use crate::telemetry::VariantTag;
+    use uadb_data::Standardizer;
+    use uadb_linalg::Matrix;
+
+    /// `tiny_model(seed)` re-based on unit standardisation (means 0,
+    /// stds 1) and the given score baseline, so drift figures are exact.
+    fn unit_model(seed: u64, baseline: Option<ModelBaseline>) -> Arc<ServedModel> {
+        let m = tiny_model(seed);
+        let d = m.input_dim();
+        let unit = Standardizer::from_parts(vec![0.0; d], vec![1.0; d]);
+        let mut model = ServedModel::new(m.model().clone(), unit, m.meta().clone());
+        model.set_baseline(baseline);
+        Arc::new(model)
+    }
+
+    fn rendered(reg: &ModelRegistry) -> String {
+        let mut text = String::new();
+        reg.render_into(&mut text);
+        text
+    }
+
+    /// A baseline of scores clustered low.
+    fn low_baseline() -> ModelBaseline {
+        let train_scores: Vec<f64> = (0..200).map(|i| 0.1 + (i % 10) as f64 * 0.02).collect();
+        ModelBaseline::from_scores(&train_scores)
+    }
+
+    /// Live scores shifted high against [`low_baseline`].
+    fn high_scores() -> Vec<f64> {
+        (0..200).map(|i| 0.8 + (i % 10) as f64 * 0.01).collect()
+    }
 
     #[test]
     fn name_validation() {
@@ -511,10 +515,11 @@ mod tests {
     fn first_insert_becomes_default_and_routing_works() {
         let reg = ModelRegistry::new();
         assert!(reg.is_empty());
-        assert!(reg.default_pool().is_none());
+        assert!(reg.resolve(None).is_none());
         reg.insert("alpha", Arc::new(tiny_model(31)), PoolConfig::default()).unwrap();
         reg.insert("beta", Arc::new(tiny_model(32)), PoolConfig::default()).unwrap();
         assert_eq!(reg.default_name().as_deref(), Some("alpha"));
+        assert!(Arc::ptr_eq(&reg.resolve(None).unwrap(), &reg.resolve(Some("alpha")).unwrap()));
         assert_eq!(reg.names(), vec!["alpha".to_string(), "beta".to_string()]);
         assert_eq!(reg.len(), 2);
         assert!(reg.get("beta").is_some());
@@ -566,5 +571,115 @@ mod tests {
         assert!(matches!(mem.reload("ram", None), Err(RegistryError::NoSourcePath(_))));
 
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn model_stats_registered_once_and_shared() {
+        let reg = ModelRegistry::new();
+        let cfg = PoolConfig { workers: 1, shard_rows: 64 };
+        reg.insert("stats-model", Arc::new(tiny_model(37)), cfg.clone()).unwrap();
+        let a = reg.entry("stats-model").unwrap();
+        // A swap of the name carries the slot over instead of
+        // registering the series again.
+        reg.insert("stats-model", Arc::new(tiny_model(38)), cfg).unwrap();
+        let b = reg.entry("stats-model").unwrap();
+        assert!(!Arc::ptr_eq(&a, &b));
+        assert!(Arc::ptr_eq(&a.stats, &b.stats));
+        a.stats.variant(VariantTag::Booster).requests.inc();
+        a.stats.variant(VariantTag::Booster).rows.add(5);
+        let text = rendered(&reg);
+        let series = "uadb_model_requests_total{model=\"stats-model\",variant=\"booster\"}";
+        assert_eq!(text.matches(series).count(), 1, "{text}");
+        assert!(text.contains(&format!("{series} 1")));
+        assert!(text.contains("uadb_model_rows_total{model=\"stats-model\",variant=\"booster\"} 5"));
+        assert!(text.contains("uadb_model_rows_total{model=\"stats-model\",variant=\"teacher\"} 0"));
+    }
+
+    #[test]
+    fn drift_window_tracks_shift_and_resets_clean() {
+        let reg = ModelRegistry::new();
+        let model = unit_model(40, Some(low_baseline()));
+        let dim = model.input_dim();
+        reg.insert("drift-model", model, PoolConfig { workers: 1, shard_rows: 64 }).unwrap();
+        let d = Arc::clone(&reg.entry("drift-model").unwrap().drift);
+
+        // Live traffic: scores shifted high, feature 0 shifted by +5σ.
+        d.record_scores(&high_scores());
+        let mut row = vec![0.0; dim];
+        row[0] = 5.0;
+        let rows: Vec<Vec<f64>> = (0..32).map(|_| row.clone()).collect();
+        d.record_rows(&Matrix::from_rows(&rows).unwrap());
+
+        let report = d.report();
+        assert_eq!(report.live_samples, 200);
+        assert!(report.psi.unwrap() > 0.25, "shifted scores must exceed the PSI alert band");
+        assert!(report.live_anomaly_rate > 0.9);
+        assert_eq!(report.feature_argmax, Some(0));
+        assert!((report.feature_max - 5.0).abs() < 1e-9);
+
+        let text = rendered(&reg);
+        assert!(text.contains("uadb_score_drift_psi{model=\"drift-model\"}"));
+        assert!(text.contains("uadb_feature_drift_max{model=\"drift-model\"} 5"));
+        assert!(text.contains("uadb_anomaly_rate{model=\"drift-model\",window=\"live\"}"));
+        assert!(text.contains("uadb_anomaly_rate{model=\"drift-model\",window=\"train\"}"));
+
+        // Reset: fresh window, same baseline, entry re-pointed.
+        reg.clear_drift("drift-model").unwrap();
+        let fresh = Arc::clone(&reg.entry("drift-model").unwrap().drift);
+        assert!(!Arc::ptr_eq(&d, &fresh));
+        let report = fresh.report();
+        assert_eq!(report.live_samples, 0);
+        assert_eq!(report.feature_rows, 0);
+        assert!(report.psi.is_none(), "empty window has no PSI yet");
+        assert_eq!(report.baseline_samples, Some(200));
+        assert!(matches!(reg.clear_drift("no-such-model"), Err(RegistryError::UnknownModel(_))));
+    }
+
+    #[test]
+    fn swap_replaces_drift_window_but_keeps_gauge_series() {
+        let reg = ModelRegistry::new();
+        let cfg = PoolConfig { workers: 1, shard_rows: 64 };
+        reg.insert("swap-model", unit_model(41, Some(low_baseline())), cfg.clone()).unwrap();
+        let a = reg.entry("swap-model").unwrap();
+        a.drift.record_scores(&high_scores());
+        let series = "uadb_score_drift_psi{model=\"swap-model\"}";
+        assert!(!rendered(&reg).contains(&format!("{series} 0\n")), "PSI gauge should be up");
+        // Simulate /admin/reload: a new model install starts a clean window.
+        reg.insert("swap-model", unit_model(42, Some(low_baseline())), cfg).unwrap();
+        let b = reg.entry("swap-model").unwrap();
+        assert!(!Arc::ptr_eq(&a.drift, &b.drift));
+        assert_eq!(b.drift.report().live_samples, 0);
+        // Same series, now 0 rather than stale pre-swap data.
+        let text = rendered(&reg);
+        assert_eq!(text.matches(series).count(), 1, "{text}");
+        assert!(text.contains(&format!("{series} 0\n")));
+    }
+
+    #[test]
+    fn stale_witness_aborts_the_swap_and_leaves_the_entry_alone() {
+        let reg = ModelRegistry::new();
+        let cfg = PoolConfig { workers: 1, shard_rows: 64 };
+        reg.insert("m", Arc::new(tiny_model(43)), cfg.clone()).unwrap();
+        let stale = reg.entry("m").unwrap();
+        // A re-insert replaces the entry the witness was taken from.
+        reg.insert("m", Arc::new(tiny_model(44)), cfg).unwrap();
+        let live = reg.entry("m").unwrap();
+        live.stats.routed.inc();
+        live.stats.variant(VariantTag::Booster).requests.inc();
+        live.drift.record_scores(&[0.5; 4]);
+
+        // A detach-style swap derived from the stale entry's model.
+        let mut derived = (**stale.pool.model()).clone();
+        derived.detach_teacher();
+        let (source, cfg) = (stale.source.clone(), stale.pool_cfg.clone());
+        let swapped = reg.publish("m", Some(&stale), Arc::new(derived), source, None, cfg);
+        assert!(matches!(swapped, Err(RegistryError::ConcurrentSwap(_))));
+        let after = reg.entry("m").unwrap();
+        assert!(Arc::ptr_eq(&after, &live));
+        assert!(Arc::ptr_eq(&after.drift, &live.drift));
+        assert!(Arc::ptr_eq(&after.stats, &live.stats));
+        assert_eq!(after.drift.report().live_samples, 4);
+        assert_eq!(after.stats.routed.get(), 1);
+        assert_eq!(after.stats.variant(VariantTag::Booster).requests.get(), 1);
     }
 }

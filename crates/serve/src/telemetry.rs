@@ -1,18 +1,20 @@
-//! Process-global serving telemetry: the single place every layer of
-//! the server reports into, and the single place `/metrics`,
-//! `/healthz` summaries, and `/admin/slow` read from.
+//! Serving telemetry: the place every layer of the server reports
+//! into, and the place `/metrics`, `/healthz` summaries, and
+//! `/admin/slow` read from.
 //!
-//! The handles live in one lazily-initialised [`ServeMetrics`] struct
-//! so pool workers, the epoll reactor, and the HTTP router all record
-//! without threading references through constructors. Recording is the
-//! `uadb_telemetry` hot-path budget — relaxed atomics, monotonic clock
-//! reads at state-machine transitions the server already makes, no
-//! allocation; only genuinely slow paths (a request over the slowness
-//! threshold, an operator scrape) take a lock.
+//! Process-wide handles live in one lazily-initialised [`ServeMetrics`]
+//! struct so pool workers, the epoll reactor, and the HTTP router all
+//! record without threading references through constructors; every
+//! server in a process shares them, so tests assert presence and
+//! monotonicity on them, not exact counts. Per-model state is not
+//! process-wide: each [`ModelRegistry`](crate::registry::ModelRegistry)
+//! entry owns its [`ModelDrift`] window and its name's [`ModelStats`]
+//! slot, whose series register on that registry's own exposition.
 //!
-//! Metrics are **process**-scoped: two servers in one test process
-//! share one registry, so tests assert presence and monotonicity, not
-//! exact counts.
+//! Recording is the `uadb_telemetry` hot-path budget — relaxed atomics,
+//! monotonic clock reads at state-machine transitions the server already
+//! makes, no allocation; only genuinely slow paths (a request over the
+//! slowness threshold, an operator scrape) take a lock.
 
 use crate::model::{ModelBaseline, ScoreError, Variant};
 use std::collections::BTreeMap;
@@ -132,19 +134,101 @@ pub struct VariantCounters {
     pub rows: Arc<Counter>,
 }
 
-/// Per-model counter block: one [`VariantCounters`] per variant tag,
-/// plus the model name as a shared `Arc<str>` so hot-path consumers
-/// (trace records, slow-ring entries) can carry the name without
+/// The stats slot of one model name in one registry: one
+/// [`VariantCounters`] per variant tag, the drift gauges, the `/healthz`
+/// routed count, and the name as a shared `Arc<str>` so hot-path
+/// consumers (trace records, slow-ring entries) carry it without
 /// allocating.
 #[derive(Debug)]
 pub struct ModelStats {
     pub name: Arc<str>,
     variants: [VariantCounters; 3],
+    drift: DriftGauges,
+    /// Score requests routed to this name, counted before validation.
+    pub routed: Counter,
 }
 
 impl ModelStats {
+    /// Registers the name's 13 series (3 variants × requests/errors/rows,
+    /// then the 4 drift gauges) on `registry`.
+    pub fn register(registry: &Registry, name: &str) -> Self {
+        let variants = [VariantTag::Booster, VariantTag::Teacher, VariantTag::Both].map(|tag| {
+            let labels = [("model", name), ("variant", tag.name())];
+            VariantCounters {
+                requests: registry.counter(
+                    "uadb_model_requests_total",
+                    "Scoring requests, by model and variant.",
+                    &labels,
+                ),
+                errors: registry.counter(
+                    "uadb_model_errors_total",
+                    "Failed scoring requests, by model and variant.",
+                    &labels,
+                ),
+                rows: registry.counter(
+                    "uadb_model_rows_total",
+                    "Rows scored, by model and variant.",
+                    &labels,
+                ),
+            }
+        });
+        let labels = [("model", name)];
+        let drift = DriftGauges {
+            psi: registry.float_gauge(
+                "uadb_score_drift_psi",
+                "PSI of the live calibrated score distribution vs. the training baseline.",
+                &labels,
+            ),
+            feature_max: registry.float_gauge(
+                "uadb_feature_drift_max",
+                "Max standardized per-feature mean shift of live traffic vs. training.",
+                &labels,
+            ),
+            anomaly_live: registry.float_gauge(
+                "uadb_anomaly_rate",
+                "Fraction of scores at or above the anomaly threshold, by window.",
+                &[("model", name), ("window", "live")],
+            ),
+            anomaly_train: registry.float_gauge(
+                "uadb_anomaly_rate",
+                "Fraction of scores at or above the anomaly threshold, by window.",
+                &[("model", name), ("window", "train")],
+            ),
+        };
+        Self { name: Arc::from(name), variants, drift, routed: Counter::new() }
+    }
+
     pub fn variant(&self, tag: VariantTag) -> &VariantCounters {
         &self.variants[tag as usize]
+    }
+
+    /// Pushes a drift report into this name's gauges and emits the
+    /// rate-limited `--drift-warn-psi` warning when the PSI is over the
+    /// threshold. Called on scrape, so gauge values are current as of
+    /// the request that reads them.
+    pub fn refresh_drift(&self, report: &DriftReport) {
+        let psi = report.psi.unwrap_or(0.0);
+        self.drift.psi.set(psi);
+        self.drift.feature_max.set(report.feature_max);
+        self.drift.anomaly_live.set(report.live_anomaly_rate);
+        self.drift.anomaly_train.set(report.train_anomaly_rate.unwrap_or(0.0));
+        let warn_at = f64::from_bits(metrics().drift_warn_psi_bits.load(Ordering::Relaxed));
+        if psi > warn_at {
+            let psi_s = format!("{psi:.4}");
+            let warn_s = format!("{warn_at:.4}");
+            let samples = report.live_samples.to_string();
+            uadb_telemetry::log::logger().log(
+                uadb_telemetry::Level::Warn,
+                "drift",
+                "live score distribution drifted past the PSI threshold",
+                &[
+                    ("model", &self.name),
+                    ("psi", &psi_s),
+                    ("threshold", &warn_s),
+                    ("live_samples", &samples),
+                ],
+            );
+        }
     }
 }
 
@@ -167,9 +251,9 @@ pub struct ShardStats {
 /// within its bench budget at the 8192-row batch.
 const FEATURE_SAMPLE_CAP: usize = 64;
 
-/// The drift gauges for one model name. Registered once per name and
-/// kept across model swaps (like the request counters): the *series*
-/// is a property of the name, the *window* behind it is not.
+/// The drift gauges for one model name, part of its [`ModelStats`]
+/// slot: the *series* is a property of the name, the *window* behind it
+/// is not.
 #[derive(Debug)]
 struct DriftGauges {
     psi: Arc<FloatGauge>,
@@ -183,11 +267,12 @@ struct DriftGauges {
 /// teacher/booster divergence, and the frozen train-time reference it
 /// is all compared against.
 ///
-/// An instance is **immutable in shape** once installed — a model swap
-/// (`/admin/reload`, teacher attach/detach) installs a *fresh* one so
-/// the new model never inherits the old model's window (in-flight
-/// requests may still record into the discarded instance; those rows
-/// vanish with it, which is exactly the reset semantics).
+/// An instance is **immutable in shape** once built, and each registry
+/// entry owns a fresh one — a model swap (`/admin/reload`, teacher
+/// attach/detach, drift reset) publishes a new entry, so the new model
+/// never inherits the old model's window (in-flight requests may still
+/// record into the discarded instance; those rows vanish with it, which
+/// is exactly the reset semantics).
 #[derive(Debug)]
 pub struct ModelDrift {
     name: Arc<str>,
@@ -234,9 +319,11 @@ pub struct DriftReport {
 }
 
 impl ModelDrift {
-    fn new(name: Arc<str>, means: &[f64], stds: &[f64], baseline: Option<&ModelBaseline>) -> Self {
+    /// An empty window for `name` against the train-time feature
+    /// `means`/`stds` and score `baseline`.
+    pub fn new(name: &str, means: &[f64], stds: &[f64], baseline: Option<&ModelBaseline>) -> Self {
         Self {
-            name,
+            name: Arc::from(name),
             live: ScoreSketch::new(),
             features: FeatureStats::new(means.len()),
             // Same ~500-sample effective window as the process-global
@@ -249,9 +336,10 @@ impl ModelDrift {
         }
     }
 
-    /// The model name this window belongs to.
-    pub fn name(&self) -> &Arc<str> {
-        &self.name
+    /// An empty window with the same name and train-time reference —
+    /// the `/admin/drift/{name}/reset` operation.
+    pub fn fresh(&self) -> Self {
+        Self::new(&self.name, &self.train_means, &self.train_stds, self.baseline.as_ref())
     }
 
     /// Folds a batch of calibrated **booster** scores into the live
@@ -455,14 +543,7 @@ pub struct ServeMetrics {
     div_max: Arc<FloatGauge>,
     div_samples: Arc<Counter>,
 
-    model_stats: RwLock<BTreeMap<String, Arc<ModelStats>>>,
     shard_stats: RwLock<BTreeMap<usize, Arc<ShardStats>>>,
-    /// Live drift windows by model name — entries are *replaced* on
-    /// model swap (unlike `model_stats`, which deliberately survives).
-    drift: RwLock<BTreeMap<String, Arc<ModelDrift>>>,
-    /// Drift gauge series by model name — these do survive swaps, the
-    /// refreshed values just come from whichever window is installed.
-    drift_gauges: RwLock<BTreeMap<String, DriftGauges>>,
     /// PSI warn threshold (`--drift-warn-psi`) as `f64` bits;
     /// `+inf` disables the warning.
     drift_warn_psi_bits: AtomicU64,
@@ -584,10 +665,7 @@ impl ServeMetrics {
             div_mean,
             div_max,
             div_samples,
-            model_stats: RwLock::new(BTreeMap::new()),
             shard_stats: RwLock::new(BTreeMap::new()),
-            drift: RwLock::new(BTreeMap::new()),
-            drift_gauges: RwLock::new(BTreeMap::new()),
             drift_warn_psi_bits: AtomicU64::new(f64::INFINITY.to_bits()),
             train_epochs,
             train_loss: RwLock::new(BTreeMap::new()),
@@ -612,44 +690,6 @@ impl ServeMetrics {
     /// Sum over all rejection reasons.
     pub fn rejected_total(&self) -> u64 {
         self.rejected.iter().map(|c| c.get()).sum()
-    }
-
-    /// The counter block for one model, registering its nine series
-    /// (3 variants × requests/errors/rows) on first sight. Steady state
-    /// is a read-lock and a map probe.
-    pub fn model_stats(&self, name: &str) -> Arc<ModelStats> {
-        if let Some(stats) = self.model_stats.read().unwrap().get(name) {
-            return Arc::clone(stats);
-        }
-        let mut map = self.model_stats.write().unwrap();
-        // Double-checked: another thread may have registered between
-        // the read unlock and the write lock.
-        if let Some(stats) = map.get(name) {
-            return Arc::clone(stats);
-        }
-        let variants = [VariantTag::Booster, VariantTag::Teacher, VariantTag::Both].map(|tag| {
-            let labels = [("model", name), ("variant", tag.name())];
-            VariantCounters {
-                requests: self.registry.counter(
-                    "uadb_model_requests_total",
-                    "Scoring requests, by model and variant.",
-                    &labels,
-                ),
-                errors: self.registry.counter(
-                    "uadb_model_errors_total",
-                    "Failed scoring requests, by model and variant.",
-                    &labels,
-                ),
-                rows: self.registry.counter(
-                    "uadb_model_rows_total",
-                    "Rows scored, by model and variant.",
-                    &labels,
-                ),
-            }
-        });
-        let stats = Arc::new(ModelStats { name: Arc::from(name), variants });
-        map.insert(name.to_string(), Arc::clone(&stats));
-        stats
     }
 
     /// The counter block for one reactor shard, registering its two
@@ -683,11 +723,10 @@ impl ServeMetrics {
         stats
     }
 
-    /// Installs a **fresh** drift window for `name`, replacing any
-    /// existing one: called whenever a model is registered, reloaded,
-    /// or has its teacher attached/detached, so streaming stats never
-    /// leak across model swaps. The gauge series for the name are
-    /// registered on first sight and survive swaps.
+    /// A detached drift window for `name`: it stores nothing and
+    /// registers no series. No serving code calls this — registry
+    /// entries build and own their windows; only the benchmark's traced
+    /// replay (`perfbench/src/replay.rs`) uses it to time recording.
     pub fn install_drift(
         &self,
         name: &str,
@@ -695,95 +734,7 @@ impl ServeMetrics {
         stds: &[f64],
         baseline: Option<&ModelBaseline>,
     ) -> Arc<ModelDrift> {
-        {
-            let mut gauges = self.drift_gauges.write().unwrap();
-            gauges.entry(name.to_string()).or_insert_with(|| {
-                let labels = [("model", name)];
-                DriftGauges {
-                    psi: self.registry.float_gauge(
-                        "uadb_score_drift_psi",
-                        "PSI of the live calibrated score distribution vs. the training baseline.",
-                        &labels,
-                    ),
-                    feature_max: self.registry.float_gauge(
-                        "uadb_feature_drift_max",
-                        "Max standardized per-feature mean shift of live traffic vs. training.",
-                        &labels,
-                    ),
-                    anomaly_live: self.registry.float_gauge(
-                        "uadb_anomaly_rate",
-                        "Fraction of scores at or above the anomaly threshold, by window.",
-                        &[("model", name), ("window", "live")],
-                    ),
-                    anomaly_train: self.registry.float_gauge(
-                        "uadb_anomaly_rate",
-                        "Fraction of scores at or above the anomaly threshold, by window.",
-                        &[("model", name), ("window", "train")],
-                    ),
-                }
-            });
-        }
-        let drift = Arc::new(ModelDrift::new(Arc::from(name), means, stds, baseline));
-        self.drift.write().unwrap().insert(name.to_string(), Arc::clone(&drift));
-        // A fresh window means the last-refreshed gauge values are
-        // stale; re-derive them now rather than at the next scrape.
-        self.refresh_drift_gauges();
-        drift
-    }
-
-    /// The installed drift window for `name`, if any.
-    pub fn drift(&self, name: &str) -> Option<Arc<ModelDrift>> {
-        self.drift.read().unwrap().get(name).map(Arc::clone)
-    }
-
-    /// Starts a fresh drift window for `name` (same baseline, empty
-    /// sketches) — the `/admin/drift/{name}/reset` operation. Returns
-    /// `false` when no window is installed under that name.
-    pub fn reset_drift(&self, name: &str) -> bool {
-        let Some(old) = self.drift(name) else { return false };
-        self.install_drift(name, &old.train_means, &old.train_stds, old.baseline.as_ref());
-        true
-    }
-
-    /// Drift reports for every installed window, by name.
-    pub fn drift_reports(&self) -> Vec<DriftReport> {
-        let windows: Vec<Arc<ModelDrift>> =
-            self.drift.read().unwrap().values().map(Arc::clone).collect();
-        windows.iter().map(|d| d.report()).collect()
-    }
-
-    /// Recomputes every model's drift signals and pushes them into the
-    /// exported gauges — called on scrape, so gauge values are current
-    /// as of the request that reads them. Emits the rate-limited
-    /// `--drift-warn-psi` warning for any model over the threshold.
-    pub fn refresh_drift_gauges(&self) {
-        let warn_at = f64::from_bits(self.drift_warn_psi_bits.load(Ordering::Relaxed));
-        for report in self.drift_reports() {
-            let gauges = self.drift_gauges.read().unwrap();
-            let Some(g) = gauges.get(report.name.as_ref()) else { continue };
-            let psi = report.psi.unwrap_or(0.0);
-            g.psi.set(psi);
-            g.feature_max.set(report.feature_max);
-            g.anomaly_live.set(report.live_anomaly_rate);
-            g.anomaly_train.set(report.train_anomaly_rate.unwrap_or(0.0));
-            drop(gauges);
-            if psi > warn_at {
-                let psi_s = format!("{psi:.4}");
-                let warn_s = format!("{warn_at:.4}");
-                let samples = report.live_samples.to_string();
-                uadb_telemetry::log::logger().log(
-                    uadb_telemetry::Level::Warn,
-                    "drift",
-                    "live score distribution drifted past the PSI threshold",
-                    &[
-                        ("model", &report.name),
-                        ("psi", &psi_s),
-                        ("threshold", &warn_s),
-                        ("live_samples", &samples),
-                    ],
-                );
-            }
-        }
+        Arc::new(ModelDrift::new(name, means, stds, baseline))
     }
 
     /// Sets the PSI warn threshold (`--drift-warn-psi`).
@@ -941,23 +892,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn model_stats_registered_once_and_shared() {
-        let m = metrics();
-        let a = m.model_stats("telemetry-test-model");
-        let b = m.model_stats("telemetry-test-model");
-        assert!(Arc::ptr_eq(&a, &b));
-        a.variant(VariantTag::Booster).requests.inc();
-        a.variant(VariantTag::Booster).rows.add(5);
-        let text = m.render();
-        assert!(text.contains(
-            "uadb_model_requests_total{model=\"telemetry-test-model\",variant=\"booster\"}"
-        ));
-        assert!(text.contains(
-            "uadb_model_rows_total{model=\"telemetry-test-model\",variant=\"teacher\"} 0"
-        ));
-    }
-
-    #[test]
     fn render_includes_gemm_and_log_sections() {
         let text = metrics().render();
         assert!(text.contains("# TYPE uadb_gemm_calls_total counter"));
@@ -994,60 +928,6 @@ mod tests {
         assert_eq!(entry.status, 200);
         assert_eq!(entry.stages[Stage::Score as usize], 2_000);
         assert_eq!(entry.model.as_deref(), Some("slow-model"));
-    }
-
-    #[test]
-    fn drift_window_tracks_shift_and_resets_clean() {
-        let m = metrics();
-        // Baseline: scores clustered low, feature means at 0 with unit std.
-        let train_scores: Vec<f64> = (0..200).map(|i| 0.1 + (i % 10) as f64 * 0.02).collect();
-        let baseline = ModelBaseline::from_scores(&train_scores);
-        let d = m.install_drift("drift-test-model", &[0.0, 0.0], &[1.0, 1.0], Some(&baseline));
-
-        // Live traffic: scores shifted high, feature 0 shifted by +5σ.
-        let live: Vec<f64> = (0..200).map(|i| 0.8 + (i % 10) as f64 * 0.01).collect();
-        d.record_scores(&live);
-        let rows: Vec<Vec<f64>> = (0..32).map(|_| vec![5.0, 0.0]).collect();
-        d.record_rows(&Matrix::from_rows(&rows).unwrap());
-
-        let report = d.report();
-        assert_eq!(report.live_samples, 200);
-        assert!(report.psi.unwrap() > 0.25, "shifted scores must exceed the PSI alert band");
-        assert!(report.live_anomaly_rate > 0.9);
-        assert_eq!(report.feature_argmax, Some(0));
-        assert!((report.feature_max - 5.0).abs() < 1e-9);
-
-        m.refresh_drift_gauges();
-        let text = m.render();
-        assert!(text.contains("uadb_score_drift_psi{model=\"drift-test-model\"}"));
-        assert!(text.contains("uadb_feature_drift_max{model=\"drift-test-model\"} 5"));
-        assert!(text.contains("uadb_anomaly_rate{model=\"drift-test-model\",window=\"live\"}"));
-        assert!(text.contains("uadb_anomaly_rate{model=\"drift-test-model\",window=\"train\"}"));
-
-        // Reset: fresh window, same baseline, handle map re-pointed.
-        assert!(m.reset_drift("drift-test-model"));
-        let fresh = m.drift("drift-test-model").unwrap();
-        assert!(!Arc::ptr_eq(&d, &fresh));
-        let report = fresh.report();
-        assert_eq!(report.live_samples, 0);
-        assert_eq!(report.feature_rows, 0);
-        assert!(report.psi.is_none(), "empty window has no PSI yet");
-        assert_eq!(report.baseline_samples, Some(200));
-        assert!(!m.reset_drift("no-such-model"));
-    }
-
-    #[test]
-    fn install_drift_replaces_window_but_keeps_gauge_series() {
-        let m = metrics();
-        let a = m.install_drift("drift-swap-model", &[0.0], &[1.0], None);
-        a.record_scores(&[0.9; 50]);
-        // Simulate /admin/reload: a new model install starts a clean window.
-        let b = m.install_drift("drift-swap-model", &[1.0], &[2.0], None);
-        assert!(!Arc::ptr_eq(&a, &b));
-        assert_eq!(b.report().live_samples, 0);
-        // No baseline → PSI gauge reads 0, not stale pre-swap data.
-        m.refresh_drift_gauges();
-        assert!(m.render().contains("uadb_score_drift_psi{model=\"drift-swap-model\"} 0"));
     }
 
     #[test]

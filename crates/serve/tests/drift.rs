@@ -16,13 +16,16 @@
 //!    start a fresh window, and the next `/metrics` scrape must show the
 //!    PSI gauge back at zero. (Regression test: the window used to be
 //!    keyed only by name, so stale pre-swap samples survived a reload.)
+//! 4. **Per-model state belongs to the server's registry.** Two servers
+//!    in one process serving the same name share no drift window and no
+//!    per-model counters, and a reset on one leaves the other alone.
 //!
-//! The metrics plane is process-global, so each test uses its own model
-//! names and all assertions are per-name.
+//! Drift windows and per-model series are owned by each registry's
+//! entries, so every assertion here is exact for the test's own server.
 
 mod common;
 
-use common::request;
+use common::{request, rows_json};
 use std::net::SocketAddr;
 use std::sync::Arc;
 use uadb::UadbConfig;
@@ -191,5 +194,43 @@ fn reload_starts_a_fresh_drift_window() {
     assert_eq!(psi_after, 0.0, "PSI gauge survived reload");
 
     handle.shutdown();
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn servers_in_one_process_keep_per_model_state_apart() {
+    let (data, path) = trained_to_file(93, "isolate");
+    let serve_default = || {
+        let registry = Arc::new(ModelRegistry::new());
+        registry
+            .insert_from_file("default", &path, PoolConfig { workers: 2, shard_rows: 64 })
+            .unwrap();
+        spawn(registry)
+    };
+    let (a, b) = (serve_default(), serve_default());
+
+    let rows: Vec<usize> = (0..8).collect();
+    let (status, body) = request(a.addr(), "POST", "/score", Some(&rows_json(&data.x, &rows)));
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(num(&drift_report(a.addr(), "default"), "live_samples"), 8.0);
+    assert_eq!(num(&drift_report(b.addr(), "default"), "live_samples"), 0.0, "B saw A's rows");
+
+    // B's exposition counts none of A's traffic.
+    let (status, body) = request(b.addr(), "GET", "/metrics", None);
+    assert_eq!(status, 200);
+    let prefix = "uadb_model_requests_total{model=\"default\",";
+    let series: Vec<&str> = body.lines().filter(|l| l.starts_with(prefix)).collect();
+    assert!(!series.is_empty(), "no `{prefix}` series on B:\n{body}");
+    for line in series {
+        assert!(line.ends_with(" 0"), "B counts A's request: {line}");
+    }
+
+    // Resetting B's window leaves A's alone.
+    let (status, body) = request(b.addr(), "POST", "/admin/drift/default/reset", None);
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(num(&drift_report(a.addr(), "default"), "live_samples"), 8.0);
+
+    a.shutdown();
+    b.shutdown();
     let _ = std::fs::remove_file(&path);
 }

@@ -3,11 +3,16 @@
 //! The list between the `audit: metrics-inventory` markers is one of
 //! the three views `uadb-audit` holds in agreement (code registrations,
 //! the README table, and this test). The test itself closes the loop at
-//! runtime: after touching the lazily-registered model families, the
-//! `/metrics` exposition must contain exactly these `# TYPE` lines —
-//! nothing missing, nothing extra.
+//! runtime: with one model registered, the `/metrics` exposition — the
+//! process-wide families, then the registry's per-model ones — must
+//! contain exactly these `# TYPE` lines, nothing missing, nothing extra.
 
+mod common;
+
+use common::trained_model;
 use std::collections::BTreeSet;
+use std::sync::Arc;
+use uadb_serve::{ModelRegistry, PoolConfig};
 
 // audit: metrics-inventory begin
 const INVENTORY: &[&str] = &[
@@ -54,14 +59,18 @@ fn exposed_families(text: &str) -> BTreeSet<String> {
 #[test]
 fn exposition_matches_inventory_exactly() {
     let m = uadb_serve::metrics();
-    // The per-model and per-shard families register on first use; touch
-    // one model and one shard so the exposition carries them like a
+    // The per-model families register when a name is first inserted;
+    // the per-shard and training ones on first use. Register one model
+    // and touch one shard so the exposition carries them like a
     // serving process would.
-    let _ = m.model_stats("inventory-probe");
+    let registry = ModelRegistry::new();
+    let pool = PoolConfig { workers: 1, shard_rows: 64 };
+    registry.insert("inventory-probe", Arc::new(trained_model(3)), pool).unwrap();
     let _ = m.shard_stats(0);
-    let _ = m.install_drift("inventory-probe", &[0.0], &[1.0], None);
     let _ = m.train_loss_gauge("inventory-probe");
-    let exposed = exposed_families(&m.render());
+    let mut text = m.render();
+    registry.render_into(&mut text);
+    let exposed = exposed_families(&text);
     let want: BTreeSet<String> = INVENTORY.iter().map(|s| s.to_string()).collect();
 
     let missing: Vec<&String> = want.difference(&exposed).collect();

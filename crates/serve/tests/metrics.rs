@@ -12,10 +12,11 @@
 //! 3. `GET /admin/slow` captures requests past the slow threshold with
 //!    per-stage breakdowns.
 //!
-//! The metrics plane is process-global (`uadb_serve::metrics()`), and
-//! all tests in this binary share one process: assertions are
-//! presence/monotonicity-based, never exact-count, so tests compose in
-//! any order.
+//! Per-model series belong to each server's registry, so their counts
+//! are asserted exactly. The process-wide families
+//! (`uadb_serve::metrics()`) are shared by every test in this binary:
+//! assertions on them are presence/monotonicity-based, so tests compose
+//! in any order.
 
 mod common;
 
@@ -158,12 +159,15 @@ fn metrics_scrape_under_load_is_valid_and_scores_stay_bit_identical() {
         vec![7],
         (0..data.n_samples()).step_by(7).collect(),
     ];
+    const ROUNDS: usize = 3;
+    let sent_requests = (slices.len() * ROUNDS) as f64;
+    let sent_rows = (slices.iter().map(Vec::len).sum::<usize>() * ROUNDS) as f64;
     let mut threads = Vec::new();
     for slice in slices {
         let x = data.x.clone();
         let expected = expected.clone();
         threads.push(std::thread::spawn(move || {
-            for _ in 0..3 {
+            for _ in 0..ROUNDS {
                 let (status, payload) =
                     request(addr, "POST", "/score", Some(&rows_json(&x, &slice)));
                 assert_eq!(status, 200, "body: {payload}");
@@ -210,11 +214,22 @@ fn metrics_scrape_under_load_is_valid_and_scores_stay_bit_identical() {
             "missing series `{required}` in:\n{body}"
         );
     }
-    // The scoring load left its marks: requests counted, shards
-    // scored, the queue drained back to a small steady state.
-    let (_, reqs) =
-        series_with_prefix(&series, "uadb_model_requests_total{model=\"default\"").unwrap();
-    assert!(reqs >= 12.0, "model requests {reqs}");
+    // The scoring load left its marks: this server's model counted
+    // exactly the requests and rows sent to it, all booster, no errors;
+    // shards scored.
+    let model_series = |family: &str, variant: &str| {
+        let key = format!("{family}{{model=\"default\",variant=\"{variant}\"}}");
+        *series.get(&key).unwrap_or_else(|| panic!("missing series `{key}`"))
+    };
+    assert_eq!(model_series("uadb_model_requests_total", "booster"), sent_requests);
+    assert_eq!(model_series("uadb_model_rows_total", "booster"), sent_rows);
+    for variant in ["booster", "teacher", "both"] {
+        assert_eq!(model_series("uadb_model_errors_total", variant), 0.0, "{variant} errors");
+    }
+    for variant in ["teacher", "both"] {
+        assert_eq!(model_series("uadb_model_requests_total", variant), 0.0, "{variant} requests");
+        assert_eq!(model_series("uadb_model_rows_total", variant), 0.0, "{variant} rows");
+    }
     let (_, shards) = series_with_prefix(&series, "uadb_pool_shards_total").unwrap();
     assert!(shards >= 1.0, "pool shards {shards}");
 
