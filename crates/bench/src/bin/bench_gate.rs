@@ -1,7 +1,7 @@
 //! Regression gate over the bench harness JSON emissions
-//! (`BENCH_matmul.json`, `BENCH_serve.json`).
+//! (`BENCH_matmul.json`, `BENCH_serve.json`, `BENCH_train.json`).
 //!
-//! Two layers of checks, designed so CI can run the hot-path bench with
+//! Three layers of checks, designed so CI can run the hot-path bench with
 //! telemetry instrumentation compiled in (`--features kernel-stats`) and
 //! fail if the instrumentation — or any other change — costs real speed:
 //!
@@ -14,7 +14,8 @@
 //!    hold on any hardware, so they gate even when the baseline was
 //!    produced on a different machine. Invariants whose cases are
 //!    absent from the candidate file are skipped, so one binary gates
-//!    both bench suites.
+//!    every bench suite; a candidate that matches none of them fails,
+//!    so a renamed case set cannot pass on all-SKIP.
 //! 2. **Baseline comparison** (`--baseline <path>`): every case present
 //!    in both files must satisfy `candidate.min_ns <= baseline.min_ns *
 //!    tolerance`. The tolerance (`--tolerance`, default 3.0) absorbs
@@ -30,6 +31,10 @@
 //!    SKIP, not a failure, so the gate degrades gracefully on machines
 //!    without the reference.
 //!
+//! The last line counts the checks run and skipped. Exit status: 0 when
+//! every check that ran passed, 1 on a failed check, 2 when the
+//! candidate or baseline file is unreadable or has no results.
+//!
 //! Usage: `bench_gate --candidate BENCH_matmul.json
 //!         [--baseline baseline.json] [--tolerance 3.0]
 //!         [--reference BENCH_serve.json]`
@@ -37,19 +42,15 @@
 use std::collections::BTreeMap;
 use std::process::exit;
 
-/// Extracts `name -> min_ns` from the bench harness's own JSON emission.
+/// Extracts `name -> min_ns` from a bench harness JSON emission, or says
+/// why it could not (unreadable file, no result lines).
 ///
-/// The file is produced by `crates/bench/benches/matmul.rs` with one
-/// result object per line, so a line-oriented scan is exact for this
-/// format (this is not a general JSON parser and does not need to be).
-fn parse_results(path: &str) -> BTreeMap<String, f64> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("bench_gate: cannot read {path}: {e}");
-            exit(2);
-        }
-    };
+/// The files are produced by the `matmul`, `serve` and `train` benches
+/// with one result object per line, so a line-oriented scan is exact for
+/// this format (this is not a general JSON parser and does not need to
+/// be).
+fn parse_results(path: &str) -> Result<BTreeMap<String, f64>, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let mut out = BTreeMap::new();
     for line in text.lines() {
         let Some(name) = field_str(line, "\"name\": \"") else { continue };
@@ -57,26 +58,17 @@ fn parse_results(path: &str) -> BTreeMap<String, f64> {
         out.insert(name.to_string(), min_ns);
     }
     if out.is_empty() {
-        eprintln!("bench_gate: no results parsed from {path}");
-        exit(2);
+        return Err(format!("no results parsed from {path}"));
     }
-    out
+    Ok(out)
 }
 
-/// `parse_results` that tolerates a missing/empty file: the reference
-/// gate is advisory on machines that never produced the emission.
-fn try_parse_results(path: &str) -> Option<BTreeMap<String, f64>> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let mut out = BTreeMap::new();
-    for line in text.lines() {
-        let Some(name) = field_str(line, "\"name\": \"") else { continue };
-        let Some(min_ns) = field_num(line, "\"min_ns\": ") else { continue };
-        out.insert(name.to_string(), min_ns);
-    }
-    if out.is_empty() {
-        return None;
-    }
-    Some(out)
+/// `parse_results` for a file the gate cannot run without: exit 2.
+fn require_results(path: &str) -> BTreeMap<String, f64> {
+    parse_results(path).unwrap_or_else(|e| {
+        eprintln!("bench_gate: {e}");
+        exit(2);
+    })
 }
 
 fn field_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
@@ -156,73 +148,79 @@ fn main() {
         }
     }
 
-    let candidate = parse_results(&candidate_path);
+    let candidate = require_results(&candidate_path);
+    let mut checks = 0usize;
+    let mut skipped = 0usize;
     let mut failures = 0usize;
+    let mut report = |ok: bool, line: String| {
+        println!("  {} {line}", if ok { "ok  " } else { "FAIL" });
+        checks += 1;
+        failures += usize::from(!ok);
+    };
 
     println!("bench_gate: {} cases in {candidate_path}", candidate.len());
     for &(fast, slow, ratio) in INVARIANTS {
         let (Some(&f), Some(&s)) = (candidate.get(fast), candidate.get(slow)) else {
             println!("  SKIP invariant {fast} vs {slow}: case missing");
+            skipped += 1;
             continue;
         };
-        let ok = f <= s * ratio;
-        println!(
-            "  {} {fast} ({f:.0} ns) <= {ratio} x {slow} ({s:.0} ns)",
-            if ok { "ok  " } else { "FAIL" }
+        report(f <= s * ratio, format!("{fast} ({f:.0} ns) <= {ratio} x {slow} ({s:.0} ns)"));
+    }
+    // A candidate that shares no case pair with the invariants (renamed
+    // cases, the wrong file) would otherwise pass on all-SKIP.
+    if skipped == INVARIANTS.len() {
+        report(
+            false,
+            format!("{candidate_path} matches none of the {} invariants", INVARIANTS.len()),
         );
-        if !ok {
-            failures += 1;
-        }
     }
 
     if let Some(path) = baseline_path {
-        let baseline = parse_results(&path);
+        let baseline = require_results(&path);
         println!("bench_gate: comparing against {path} (tolerance {tolerance}x)");
         for (name, &b) in &baseline {
             let Some(&c) = candidate.get(name) else {
-                println!("  FAIL {name}: present in baseline, missing from candidate");
-                failures += 1;
+                report(false, format!("{name}: present in baseline, missing from candidate"));
                 continue;
             };
-            let ok = c <= b * tolerance;
-            println!(
-                "  {} {name}: {c:.0} ns vs baseline {b:.0} ns ({:.2}x)",
-                if ok { "ok  " } else { "FAIL" },
-                c / b.max(1.0)
+            report(
+                c <= b * tolerance,
+                format!("{name}: {c:.0} ns vs baseline {b:.0} ns ({:.2}x)", c / b.max(1.0)),
             );
-            if !ok {
-                failures += 1;
-            }
         }
     }
 
     if let Some(path) = reference_path {
-        match try_parse_results(&path) {
-            None => println!("bench_gate: SKIP reference gate ({path} missing or empty)"),
-            Some(reference) => {
+        match parse_results(&path) {
+            Err(e) => {
+                println!("bench_gate: SKIP reference gate ({e})");
+                skipped += REFERENCE_INVARIANTS.len();
+            }
+            Ok(reference) => {
                 println!("bench_gate: reference gate against {path}");
                 for &(name, ratio) in REFERENCE_INVARIANTS {
                     let (Some(&c), Some(&r)) = (candidate.get(name), reference.get(name)) else {
                         println!("  SKIP reference {name}: case missing");
+                        skipped += 1;
                         continue;
                     };
-                    let ok = c <= r * ratio;
-                    println!(
-                        "  {} {name}: {c:.0} ns <= {ratio} x reference {r:.0} ns ({:.2}x)",
-                        if ok { "ok  " } else { "FAIL" },
-                        c / r.max(1.0)
+                    report(
+                        c <= r * ratio,
+                        format!(
+                            "{name}: {c:.0} ns <= {ratio} x reference {r:.0} ns ({:.2}x)",
+                            c / r.max(1.0)
+                        ),
                     );
-                    if !ok {
-                        failures += 1;
-                    }
                 }
             }
         }
     }
 
+    let summary = format!("{checks} checks run, {skipped} skipped");
     if failures > 0 {
-        eprintln!("bench_gate: {failures} check(s) failed");
+        eprintln!("bench_gate: {summary}, {failures} failed");
         exit(1);
     }
-    println!("bench_gate: all checks passed");
+    println!("bench_gate: {summary}, all passed");
 }

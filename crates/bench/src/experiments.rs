@@ -1,9 +1,10 @@
 //! One function per table/figure of the paper; each computes the
-//! experiment and prints the corresponding rows (DESIGN.md §4 maps the
-//! paper artefacts to these functions).
+//! experiment and prints the corresponding rows (the `repro` binary's
+//! doc comment maps the paper artefacts to these functions).
 
 use crate::report::{f4, f4s, pval, Table};
 use crate::setup;
+use uadb::booster::CorrectionScale;
 use uadb::experiment::{
     run_matrix, run_scheme_matrix, summarize_model, ExperimentConfig, Metric, PairResult,
 };
@@ -148,7 +149,7 @@ pub fn table6(kinds: &[DetectorKind], datasets: &[Dataset], cfg: &ExperimentConf
 /// naive imitation learner, on the paper's four example datasets.
 pub fn fig1(cfg: &UadbConfig) -> Vec<VarianceEvidence> {
     let names = ["12_glass", "25_musk", "27_PageBlocks", "39_thyroid"];
-    let scale = uadb_data::suite::SuiteScale::from_env();
+    let scale = setup::scale();
     let mut t = Table::new(vec![
         "Dataset",
         "mean var (normal)",
@@ -412,7 +413,7 @@ pub fn fig8(kinds: &[DetectorKind], datasets: &[Dataset], cfg: &ExperimentConfig
 pub fn fig9(cfg: &UadbConfig) {
     let mut long_cfg = cfg.clone();
     long_cfg.t_steps = 20;
-    let scale = uadb_data::suite::SuiteScale::from_env();
+    let scale = setup::scale();
     for name in ["19_landsat", "26_optdigits", "31_satellite"] {
         let d = uadb_data::suite::generate_by_name(name, scale, setup::seed())
             .expect("roster name")
@@ -470,6 +471,40 @@ pub fn fig10(results: &[PairResult], kinds: &[DetectorKind]) {
     }
 }
 
+/// Ablation of UADB's own design choices (not a paper artefact): CV
+/// ensemble size, warm-start vs per-step reinitialisation, the
+/// dispersion scale of the correction term and a shorter schedule,
+/// averaged over IForest/HBOS/LOF teachers.
+pub fn ablation(datasets: &[Dataset], cfg: &ExperimentConfig) {
+    let kinds = [DetectorKind::IForest, DetectorKind::Hbos, DetectorKind::Lof];
+    let base = &cfg.booster;
+    let variants: [(&str, UadbConfig); 5] = [
+        ("default (3-fold, warm, std)", base.clone()),
+        ("single booster (no CV)", UadbConfig { cv_folds: 1, ..base.clone() }),
+        ("fresh members per step", UadbConfig { warm_start: false, ..base.clone() }),
+        (
+            "raw-variance correction",
+            UadbConfig { correction: CorrectionScale::Variance, ..base.clone() },
+        ),
+        ("5 UADB steps", UadbConfig { t_steps: 5, ..base.clone() }),
+    ];
+    let mut t = Table::new(vec!["Variant", "avg teacher AUC", "avg booster AUC", "improvement"]);
+    for (name, booster) in variants {
+        let results = run_matrix(&kinds, datasets, &ExperimentConfig { booster, ..cfg.clone() });
+        let mut orig = 0.0;
+        let mut improv = 0.0;
+        for k in kinds {
+            let s = summarize_model(&results, k.name(), Metric::AucRoc);
+            orig += s.original;
+            improv += s.improvement;
+        }
+        orig /= kinds.len() as f64;
+        improv /= kinds.len() as f64;
+        t.row(vec![name.to_string(), f4(orig), f4(orig + improv), f4s(improv)]);
+    }
+    t.print("Ablation: UADB design choices (IForest/HBOS/LOF average)");
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -491,6 +526,11 @@ mod tests {
         let results = table4(&kinds, &datasets, &tiny_cfg());
         assert_eq!(results.len(), 1);
         fig10(&results, &kinds);
+    }
+
+    #[test]
+    fn ablation_runs_every_variant() {
+        ablation(&[fig5_dataset(AnomalyType::Global, 1)], &tiny_cfg());
     }
 
     #[test]

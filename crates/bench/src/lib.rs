@@ -1,13 +1,16 @@
 //! Benchmark harness regenerating every table and figure of the UADB
-//! paper (see DESIGN.md §4 for the experiment index).
+//! paper.
 //!
-//! Each Criterion bench target under `benches/` and each full-run binary
-//! under `src/bin/` calls into the experiment functions here, prints the
-//! paper-style rows, and (for benches) times a representative kernel.
+//! The `repro <target>…` binary is the one entry point for the paper's
+//! artefacts; its doc comment is the experiment index mapping each
+//! target to its table or figure and to the function in [`experiments`]
+//! that computes and prints it. The `matmul`, `serve`, `train` and
+//! `detectors` benches time the serving and training paths, and
+//! `bench_gate` checks their `BENCH_*.json` emissions.
 //!
-//! Environment knobs:
-//! * `UADB_SUITE` — `quick` (12-dataset subset, default for benches) or
-//!   `full` (all 84 roster entries, default for the bins);
+//! Environment knobs, all read in [`setup`]:
+//! * `UADB_SUITE` — `full` (all 84 roster entries, default) or `quick`
+//!   (12-dataset subset);
 //! * `UADB_SCALE` — dataset sizes: `quick` (n ∈ [240, 520], default) or
 //!   `full` (n ∈ [400, 1200]);
 //! * `UADB_RUNS`  — independent seeds averaged per cell (default 1; the

@@ -1,4 +1,6 @@
-//! Environment-driven experiment setup shared by benches and bins.
+//! Harness configuration. The four experiment variables (`UADB_SUITE`,
+//! `UADB_SCALE`, `UADB_RUNS`, `UADB_SEED`) are read here and nowhere
+//! else; the library crates take every setting as an argument.
 
 use uadb::experiment::ExperimentConfig;
 use uadb::UadbConfig;
@@ -10,35 +12,47 @@ pub fn seed() -> u64 {
     std::env::var("UADB_SEED").ok().and_then(|v| v.parse().ok()).unwrap_or(0)
 }
 
-/// `true` when `UADB_SUITE=full`.
+/// Roster coverage from `UADB_SUITE`: all 84 entries unless it is set
+/// to something other than `full` (`UADB_SUITE=quick` selects the
+/// 12-dataset subset).
 pub fn full_suite() -> bool {
-    matches!(std::env::var("UADB_SUITE").ok().as_deref(), Some("full") | Some("FULL"))
+    std::env::var("UADB_SUITE").map_or(true, |v| v == "full" || v == "FULL")
 }
 
-/// The evaluation datasets: the 12-dataset quick subset by default, all
-/// 84 roster entries with `UADB_SUITE=full`.
+/// Dataset sizes from `UADB_SCALE`: `full` (n ∈ [400, 1200]) or, by
+/// default, `quick` (n ∈ [240, 520]). Orthogonal to `UADB_SUITE`.
+pub fn scale() -> SuiteScale {
+    match std::env::var("UADB_SCALE").ok().as_deref() {
+        Some("full") | Some("FULL") => SuiteScale::Full,
+        _ => SuiteScale::Quick,
+    }
+}
+
+/// Independent runs averaged per cell from `UADB_RUNS` (default 1; the
+/// paper uses 10).
+pub fn runs() -> usize {
+    std::env::var("UADB_RUNS").ok().and_then(|v| v.parse().ok()).unwrap_or(1)
+}
+
+/// The evaluation datasets: all 84 roster entries by default, the
+/// 12-dataset quick subset with `UADB_SUITE=quick`.
 pub fn datasets() -> Vec<Dataset> {
-    let scale = SuiteScale::from_env();
     if full_suite() {
-        generate_suite(scale, seed())
+        generate_suite(scale(), seed())
     } else {
-        generate_quick_suite(scale, seed())
+        generate_quick_suite(scale(), seed())
     }
 }
 
 /// The full 84-entry suite regardless of `UADB_SUITE` (Fig. 2 needs all
 /// datasets to reproduce the "71/84" claim).
 pub fn all_datasets() -> Vec<Dataset> {
-    generate_suite(SuiteScale::from_env(), seed())
+    generate_suite(scale(), seed())
 }
 
 /// Paper-default experiment configuration with env-driven runs/seed.
 pub fn experiment_config() -> ExperimentConfig {
-    ExperimentConfig {
-        booster: UadbConfig::with_seed(seed()),
-        n_runs: ExperimentConfig::runs_from_env(),
-        n_threads: 0,
-    }
+    ExperimentConfig { booster: UadbConfig::with_seed(seed()), n_runs: runs(), n_threads: 0 }
 }
 
 /// Configuration for the Fig. 1/2 variance probes: the paper's imitation
@@ -46,14 +60,6 @@ pub fn experiment_config() -> ExperimentConfig {
 /// booster, so one well-trained step suffices.
 pub fn probe_config() -> UadbConfig {
     UadbConfig { t_steps: 1, epochs_per_step: 50, ..UadbConfig::with_seed(seed()) }
-}
-
-/// Full-run binaries default to the complete 84-dataset suite; set
-/// `UADB_SUITE=quick` explicitly to shrink them.
-pub fn prefer_full_suite() {
-    if std::env::var("UADB_SUITE").is_err() {
-        std::env::set_var("UADB_SUITE", "full");
-    }
 }
 
 #[cfg(test)]
@@ -66,11 +72,17 @@ mod tests {
         std::env::remove_var("UADB_RUNS");
         std::env::remove_var("UADB_SEED");
         assert_eq!(seed(), 0);
-        assert!(!full_suite());
+        assert!(full_suite());
         let cfg = experiment_config();
         assert_eq!(cfg.n_runs, 1);
         assert_eq!(cfg.booster.t_steps, 10);
         let ds = datasets();
-        assert_eq!(ds.len(), 12);
+        assert_eq!(ds.len(), 84);
+    }
+
+    #[test]
+    fn suite_scale_env_default_is_quick() {
+        std::env::remove_var("UADB_SCALE");
+        assert_eq!(scale(), SuiteScale::Quick);
     }
 }

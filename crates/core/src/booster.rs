@@ -23,7 +23,7 @@ pub enum CorrectionScale {
     /// cannot re-order anything before min-max recompression absorbs it.
     /// The √ rescaling restores the paper's effective drip magnitude
     /// (≈0.05–0.1 per step for anomalies) without changing which points
-    /// get corrected. The `ablation_cv` bench measures both scales.
+    /// get corrected. `repro ablation` measures both scales.
     StdDev,
 }
 
@@ -48,7 +48,7 @@ pub struct UadbConfig {
     /// re-initialise each step (`false`). Warm starting keeps the booster
     /// faithful to the accumulated pseudo labels; per-step fresh members
     /// maximise the checkpoint-instability variance signal of §III-B but
-    /// under-fit the final labels at small `n` (the `ablation_cv` bench
+    /// under-fit the final labels at small `n` (`repro ablation`
     /// measures both).
     pub warm_start: bool,
     /// Dispersion scale of the error-correction term (see
@@ -107,7 +107,8 @@ impl UadbConfig {
     /// thousands of rows, i.e. ≳10 gradient updates per epoch). The
     /// simulated suite is scaled down, so a fixed 256 would leave the
     /// booster with a handful of Adam steps and it would never leave its
-    /// initialisation (verified empirically; see DESIGN.md §2). Capping
+    /// initialisation (at the suite's n ∈ [240, 520] a batch of 256 is
+    /// 1–3 updates per epoch). Capping
     /// the batch at `n/16` keeps the *update count* per epoch at the
     /// paper's effective level while converging to the configured batch
     /// size for paper-scale inputs.
@@ -382,8 +383,8 @@ impl Uadb {
             // Cap at the 99th percentile: a single flip-flopping point
             // would otherwise stretch the min-max range every step and
             // compress all other pseudo labels toward zero, starving the
-            // booster's MSE gradients (a small-n stabilisation; see
-            // DESIGN.md §2).
+            // booster's MSE gradients (a stabilisation for the
+            // simulated suite's small n).
             if let Some(cap) = uadb_stats::quantile(&variance, 0.99) {
                 for v in &mut variance {
                     if *v > cap {

@@ -2,11 +2,11 @@
 //!
 //! The paper evaluates on 84 real tabular datasets from the ADBench
 //! benchmark (its Table III). Those datasets are not redistributable
-//! here, so this crate provides the documented substitution (DESIGN.md §2):
-//! a deterministic **simulated suite** with one dataset per roster entry,
-//! reproducing each entry's anomaly ratio and category, with anomalies
-//! drawn from the four canonical ADBench anomaly types the paper itself
-//! uses for its synthetic study (Fig. 5):
+//! here, so this crate substitutes a deterministic **simulated suite**
+//! with one dataset per roster entry, reproducing each entry's anomaly
+//! ratio and category, with anomalies drawn from the four canonical
+//! ADBench anomaly types the paper itself uses for its synthetic study
+//! (Fig. 5):
 //!
 //! * **local** — same cluster means, inflated covariance,
 //! * **global** — uniform over an inflated bounding box,

@@ -1,14 +1,14 @@
 //! The 84-dataset simulated suite, one entry per row of the paper's
 //! Table III.
 //!
-//! Substitution note (DESIGN.md §2): the paper uses the real ADBench
-//! datasets; this crate regenerates a *simulated* stand-in per roster
-//! entry with the same name, anomaly percentage and category. Each
-//! dataset's generator parameters (dimensionality, cluster count, anomaly
-//! type mixture, difficulty) are derived deterministically from the
-//! dataset name, so the suite is heterogeneous — which is precisely the
-//! property the paper's "no universal winner" argument rests on — and
-//! fully reproducible.
+//! Substitution note: the paper uses the real ADBench datasets, which
+//! are not redistributable; this crate regenerates a *simulated*
+//! stand-in per roster entry with the same name, anomaly percentage and
+//! category. Each dataset's generator parameters (dimensionality, cluster
+//! count, anomaly type mixture, difficulty) are derived deterministically
+//! from the dataset name, so the suite is heterogeneous — which is
+//! precisely the property the paper's "no universal winner" argument
+//! rests on — and fully reproducible.
 
 use crate::dataset::Dataset;
 use crate::synth::{generate, AnomalyType, SynthConfig};
@@ -142,20 +142,6 @@ pub enum SuiteScale {
     Quick,
     /// Laptop-scale datasets (n ∈ [400, 1200]) for full reproductions.
     Full,
-}
-
-impl SuiteScale {
-    /// Reads `UADB_SCALE` (`quick`/`full`) from the environment,
-    /// defaulting to `Quick`. Orthogonal to `UADB_SUITE`, which selects
-    /// roster *coverage* (12-dataset subset vs all 84) in the harness —
-    /// all headline numbers in EXPERIMENTS.md are full coverage at quick
-    /// scale.
-    pub fn from_env() -> Self {
-        match std::env::var("UADB_SCALE").ok().as_deref() {
-            Some("full") | Some("FULL") => SuiteScale::Full,
-            _ => SuiteScale::Quick,
-        }
-    }
 }
 
 /// FNV-1a 64-bit hash — the deterministic per-name parameter source.
@@ -320,11 +306,5 @@ mod tests {
     #[test]
     fn generate_by_unknown_name_is_none() {
         assert!(generate_by_name("not_a_dataset", SuiteScale::Quick, 0).is_none());
-    }
-
-    #[test]
-    fn suite_scale_env_default_is_quick() {
-        std::env::remove_var("UADB_SCALE");
-        assert_eq!(SuiteScale::from_env(), SuiteScale::Quick);
     }
 }

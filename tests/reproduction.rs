@@ -1,6 +1,7 @@
 //! Reproduction-shape tests: scaled-down versions of the paper's
 //! headline claims that must hold for the repository to count as a
-//! faithful reproduction (EXPERIMENTS.md records the full-size runs).
+//! faithful reproduction (`cargo run --release -p uadb_bench --bin
+//! repro -- <target>` runs the full-size experiments).
 
 use uadb::experiment::{run_pair_schemes, ExperimentConfig};
 use uadb::variance_probe::probe;
